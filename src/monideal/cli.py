@@ -36,7 +36,7 @@ from .invariants import (
     verify_main_theorem,
 )
 from .parsing import IdealSource
-from .polarization import MonomialIdeal, big_height_general, polarize
+from .polarization import MonomialIdeal, polarize
 
 BATCH_HEADER = (
     "kind,seed,n,gens,field,d_min,d_max,dim,depth,pd,pd_oracle,"
@@ -86,10 +86,7 @@ def _scalar(args, job, value: int, key: str):
 
 def cmd_pd(args):
     job = _Job(args)
-    if job.polarized:
-        value = job.work.n - depth(job.work, job.field)
-    else:
-        value = projective_dimension(job.work, job.field)
+    value = projective_dimension(job.work, job.field)
     _scalar(args, job, value, "pd")
     return 0
 
@@ -106,26 +103,21 @@ def cmd_depth(args):
 
 def cmd_dim(args):
     job = _Job(args)
-    value = krull_dimension(
-        job.work if not job.polarized else job.mono.support_radical()
-    )
+    value = krull_dimension(job.mono.support_radical())
     _scalar(args, job, value, "dim")
     return 0
 
 
 def cmd_big_height(args):
     job = _Job(args)
-    if job.polarized:
-        value = big_height_general(job.mono)
-    else:
-        value = big_height(job.work)
+    value = big_height(job.work)
     _scalar(args, job, value, "big_height")
     return 0
 
 
 def cmd_primes(args):
     job = _Job(args)
-    ideal = job.mono.support_radical() if job.polarized else job.work
+    ideal = job.mono.support_radical()
     decomposition = minimal_primes(ideal)
     lines = [_subset_text(ideal, p) for p in decomposition.primes]
     _emit(

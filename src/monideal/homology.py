@@ -2,16 +2,17 @@
 
 The chain complex is augmented: the empty face sits in degree -1, so the
 irrelevant complex has reduced Betti number 1 there and any complex with a
-vertex has 0.  All ranks are computed by dense elimination; rows are
-bit-packed ints for p = 2 and numpy residue arrays otherwise.  Coefficient
+vertex has 0.  Ranks come from sparse elimination, since an i-face's boundary
+has only i + 1 nonzero entries: one kernel for p = 2 on bit-packed rows, one
+for odd p on dict rows.  Each keeps its pivots in a dict keyed by the pivot's
+leading column, so reducing a row costs one lookup per step.  Coefficient
 fields are prime fields only; field dependence of Cohen-Macaulayness is a
 feature under test, not a bug.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bitsets import bits
 from .complexes import SimplicialComplex
@@ -42,107 +43,85 @@ VERIFY_CHAIN_COMPLEX = False
 CHAIN_CHECKS = 0
 
 
-def _rank_gf2(rows: list[int]) -> int:
-    """Rank of a GF(2) matrix whose rows are bitmask ints."""
-    pivots: list[int] = []
-    rank = 0
+def _rank_gf2(rows: Iterable[int]) -> int:
+    """Rank of a GF(2) matrix whose rows are bitmask ints.
+
+    Pivots are stored under their lowest set bit.  XOR with the pivot found
+    there clears that bit of the row and sets none below it, so each step
+    moves the row's lowest bit up until the row is zero or opens a new pivot.
+    """
+    pivots: dict[int, int] = {}
     for row in rows:
-        for piv in pivots:
-            low = piv & -piv
-            if row & low:
-                row ^= piv
-        if row:
-            pivots.append(row)
-            rank += 1
-    return rank
-
-
-def _rank_modp_rows(rows, width: int, p: int) -> int:
-    """Row-echelon rank of a matrix given as residue rows mod odd prime p."""
-    m = len(rows)
-    if m == 0 or width == 0:
-        return 0
-    if m * width <= 1024:
-        # tiny matrices: plain python beats numpy call overhead
-        work = [list(r) for r in rows]
-        rank = 0
-        for c in range(width):
-            piv = next(
-                (i for i in range(rank, m) if work[i][c] % p), None
-            )
+        while row:
+            low = row & -row
+            piv = pivots.get(low)
             if piv is None:
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            inv = pow(work[rank][c], p - 2, p)
-            prow = [(x * inv) % p for x in work[rank]]
-            work[rank] = prow
-            for i in range(rank + 1, m):
-                f = work[i][c] % p
-                if f:
-                    work[i] = [(a - f * b) % p for a, b in zip(work[i], prow)]
-            rank += 1
-            if rank == m:
+                pivots[low] = row
                 break
-        return rank
-    a = np.array(rows, dtype=np.int64) % p
-    rank = 0
-    for c in range(width):
-        if rank == a.shape[0]:
-            break
-        nz = np.nonzero(a[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        i = rank + int(nz[0])
-        if i != rank:
-            a[[rank, i]] = a[[i, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        col = a[rank + 1 :, c]
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            idx = rank + 1 + hit
-            a[idx] = (a[idx] - np.outer(a[idx, c], a[rank])) % p
-        rank += 1
-    return rank
+            row ^= piv
+    return len(pivots)
+
+
+def _rank_modp(rows: Iterable[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of a matrix given as sparse rows ``{column: entry}``.
+
+    Entries may be any ints; they are reduced mod p here.  Each pivot is
+    stored under its smallest column, scaled so that entry is 1, and without
+    that entry: subtracting f times the stored rest from a row whose smallest
+    column is c, after dropping the row's entry f there, eliminates column c.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: x % p for c, x in row.items() if x % p}
+        while row:
+            c = min(row)
+            f = row.pop(c)
+            rest = pivots.get(c)
+            if rest is None:
+                inv = pow(f, p - 2, p)
+                pivots[c] = {k: x * inv % p for k, x in row.items()}
+                break
+            for k, x in rest.items():
+                y = (row.get(k, 0) - f * x) % p
+                if y:
+                    row[k] = y
+                else:
+                    del row[k]
+    return len(pivots)
 
 
 def rank_mod_p(matrix, field: PrimeField) -> int:
-    """Rank over GF(p) of a dense matrix (any sequence of rows)."""
-    rows = [[int(x) for x in r] for r in matrix]
-    if not rows or not rows[0]:
-        return 0
+    """Rank over GF(p) of a dense matrix (any sequence of rows of ints)."""
     p = field.p
     if p == 2:
-        packed = []
-        for r in rows:
-            bitsrow = 0
-            for j, x in enumerate(r):
-                if x % 2:
-                    bitsrow |= 1 << j
-            packed.append(bitsrow)
-        return _rank_gf2(packed)
-    return _rank_modp_rows(rows, len(rows[0]), p)
+        return _rank_gf2(
+            sum(1 << j for j, x in enumerate(r) if int(x) % 2) for r in matrix
+        )
+    return _rank_modp(({j: int(x) for j, x in enumerate(r)} for r in matrix), p)
 
 
-def _sign_exponent(face: int, v: int) -> int:
-    """Position of vertex v within the sorted members of ``face``."""
-    return (face & ((1 << v) - 1)).bit_count()
+def _boundary_columns(
+    cols: list[int], rows: list[int], p: int
+) -> list[dict[int, int]]:
+    """The boundary map from ``cols`` faces to ``rows`` faces, by column.
 
-
-def _dense_boundary(rows: list[int], cols: list[int], p: int) -> np.ndarray:
+    Column j is ``{row index: entry}``: dropping the k-th smallest vertex of
+    face ``cols[j]`` gives (-1)^k, reduced mod p.
+    """
     index = {f: k for k, f in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, face in enumerate(cols):
-        for v in bits(face):
-            sign = -1 if _sign_exponent(face, v) % 2 else 1
-            mat[index[face ^ (1 << v)], j] = sign % p
-    return mat
+    return [
+        {
+            index[face ^ (1 << v)]: p - 1 if k % 2 else 1
+            for k, v in enumerate(bits(face))
+        }
+        for face in cols
+    ]
 
 
 def boundary_matrix(
     complex: SimplicialComplex, i: int, field: PrimeField
-) -> np.ndarray:
-    """The i-th boundary map as a dense matrix mod p.
+) -> list[list[int]]:
+    """The i-th boundary map mod p, as a list of rows.
 
     Rows are the (i-1)-faces, columns the i-faces, both in (size, members)
     order; the entry for dropping vertex v from face F is (-1)^(position of v
@@ -153,19 +132,25 @@ def boundary_matrix(
         raise VoidComplexError("void complex has no boundary maps")
     if not 0 <= i <= complex.dim:
         raise ValueError(f"boundary index {i} outside [0, dim]")
-    return _dense_boundary(by_dim[i - 1], by_dim[i], field.p)
+    rows, cols = by_dim[i - 1], by_dim[i]
+    matrix = [[0] * len(cols) for _ in rows]
+    for j, column in enumerate(_boundary_columns(cols, rows, field.p)):
+        for k, x in column.items():
+            matrix[k][j] = x
+    return matrix
 
 
 def _boundary_rank(cols: list[int], rows: list[int], p: int) -> int:
     """Rank of the boundary map sending ``cols`` faces into ``rows`` faces.
 
-    Works on the transpose (one packed row per column face); rank is the
-    same and the packing is cheaper.
+    Works on the transpose (one row per column face); rank is the same.  At
+    p = 2 each row is packed straight from the face bits, which is cheaper
+    than building the dict columns first.
     """
     if not cols or not rows:
         return 0
-    index = {f: k for k, f in enumerate(rows)}
     if p == 2:
+        index = {f: k for k, f in enumerate(rows)}
         packed = []
         for face in cols:
             r = 0
@@ -173,14 +158,7 @@ def _boundary_rank(cols: list[int], rows: list[int], p: int) -> int:
                 r |= 1 << index[face ^ (1 << v)]
             packed.append(r)
         return _rank_gf2(packed)
-    width = len(rows)
-    dense = []
-    for face in cols:
-        r = [0] * width
-        for v in bits(face):
-            r[index[face ^ (1 << v)]] = p - 1 if _sign_exponent(face, v) % 2 else 1
-        dense.append(r)
-    return _rank_modp_rows(dense, width, p)
+    return _rank_modp(_boundary_columns(cols, rows, p), p)
 
 
 def reduced_betti_numbers(
@@ -207,12 +185,18 @@ def reduced_betti_numbers(
 def _verify_chain(by_dim: dict[int, list[int]], betti: dict[int, int], p: int):
     global CHAIN_CHECKS
     top = max(by_dim)
-    mats = {
-        i: _dense_boundary(by_dim[i - 1], by_dim[i], p)
+    columns = {
+        i: _boundary_columns(by_dim[i], by_dim[i - 1], p)
         for i in range(0, top + 1)
     }
     for i in range(1, top + 1):
-        assert not ((mats[i - 1] @ mats[i]) % p).any(), "boundary squared != 0"
+        lower = columns[i - 1]
+        for column in columns[i]:
+            image: dict[int, int] = {}
+            for k, x in column.items():
+                for r, y in lower[k].items():
+                    image[r] = image.get(r, 0) + x * y
+            assert not any(v % p for v in image.values()), "boundary squared != 0"
     euler_faces = sum(
         (-1 if d % 2 else 1) * len(fs) for d, fs in by_dim.items()
     )
