@@ -1,6 +1,6 @@
 """Brute-force multigraded Betti numbers via restriction homology.
 
-This is the independent oracle: it never touches the skeleton/depth pipeline.
+This is the independent oracle: it never touches the face-link walk.
 For i >= 1 the Betti number in square-free multidegree sigma is the reduced
 homology of the Stanley-Reisner complex restricted to sigma, in degree
 |sigma| - i - 1, and the table is complete over all 2^n subsets.  Vertex

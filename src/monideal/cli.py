@@ -205,9 +205,7 @@ def _report_payload(report: VerificationReport, ideal: SquareFreeIdeal):
         "theorem_equality_ok": report.theorem_equality_ok,
         "oracle_agrees": report.oracle_agrees,
         "generators": [_names(ideal, g) for g in ideal.gens],
-        "minimal_primes": [
-            _names(ideal, p) for p in minimal_primes(ideal).primes
-        ],
+        "minimal_primes": [_names(ideal, p) for p in report.primes],
     }
 
 

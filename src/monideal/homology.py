@@ -1,4 +1,5 @@
-"""Reduced simplicial homology over GF(p) and Reisner's Cohen-Macaulay test.
+"""Reduced simplicial homology over GF(p), and the face-link walk that reads
+depth, Cohen-Macaulayness and sequential Cohen-Macaulayness off it.
 
 The chain complex is augmented: the empty face sits in degree -1, so the
 irrelevant complex has reduced Betti number 1 there and any complex with a
@@ -8,15 +9,21 @@ for odd p on dict rows.  Each keeps its pivots in a dict keyed by the pivot's
 leading column, so reducing a row costs one lookup per step.  Coefficient
 fields are prime fields only; field dependence of Cohen-Macaulayness is a
 feature under test, not a bug.
+
+One walk over the faces and their links (``_link_walk``) is the production
+route to depth, CM and SCM; the paper's skeleton criteria are its test
+reference.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .bitsets import bits
 from .complexes import SimplicialComplex
-from .errors import VoidComplexError
+from .errors import MonidealError, VoidComplexError
 
 
 @dataclass(frozen=True)
@@ -35,10 +42,10 @@ class PrimeField:
 
 GF2 = PrimeField(2)
 
-# When enabled, every Betti computation also asserts that consecutive
+# When enabled, every Betti computation also checks that consecutive
 # boundary maps compose to zero and that the alternating Betti sum matches
-# the alternating face count (reduced Euler characteristic).  Off by default;
-# the acceptance suite switches it on for a whole run.
+# the alternating face count (reduced Euler characteristic), raising
+# MonidealError otherwise.  Off by default; the acceptance suite turns it on.
 VERIFY_CHAIN_COMPLEX = False
 CHAIN_CHECKS = 0
 
@@ -196,49 +203,55 @@ def _verify_chain(by_dim: dict[int, list[int]], betti: dict[int, int], p: int):
             for k, x in column.items():
                 for r, y in lower[k].items():
                     image[r] = image.get(r, 0) + x * y
-            assert not any(v % p for v in image.values()), "boundary squared != 0"
+            if any(v % p for v in image.values()):
+                raise MonidealError("boundary squared != 0")
     euler_faces = sum(
         (-1 if d % 2 else 1) * len(fs) for d, fs in by_dim.items()
     )
     euler_betti = sum((-1 if d % 2 else 1) * b for d, b in betti.items())
-    assert euler_betti == euler_faces, "Euler characteristic mismatch"
+    if euler_betti != euler_faces:
+        raise MonidealError("Euler characteristic mismatch")
     CHAIN_CHECKS += 1
 
 
-def _is_cone(complex: SimplicialComplex) -> bool:
-    """True if some vertex lies in every facet (such complexes are acyclic)."""
-    common = complex.facets[0]
-    for f in complex.facets[1:]:
-        common &= f
-        if not common:
-            return False
-    return common != 0
+def _lowest_homology(complex: SimplicialComplex, field: PrimeField) -> int:
+    """Smallest j with H̃_j(complex) != 0, or n if the complex is acyclic.
+
+    A cone (some vertex lies in every facet) is acyclic and needs no ranks.
+    """
+    if reduce(and_, complex.facets):
+        return complex.n
+    betti = reduced_betti_numbers(complex, field)
+    return min((j for j, b in betti.items() if b), default=complex.n)
+
+
+def _link_walk(complex: SimplicialComplex, field: PrimeField) -> tuple[int, bool]:
+    """(depth of k[Δ], whether Δ is sequentially CM), from one face walk.
+
+    Each face F is visited once and its link built once.  Hochster's formula
+    for local cohomology gives depth = min over F of |F| + 1 +
+    min{j : H̃_j(lk F) != 0}; a facet's link is the irrelevant complex, with
+    H̃_{-1} != 0, so it gives |F|.  Duval's pure-skeleton criterion, restated
+    on links, gives SCM: for every F and every facet dimension d of lk F, the
+    subcomplex generated by the facets of dimension >= d has H̃_j = 0 for
+    j < d.  For the smallest d that subcomplex is lk F itself.
+    """
+    depth, scm = complex.n, True
+    for face in complex.faces():
+        link = complex.link(face)
+        low = -1 if link.is_irrelevant else _lowest_homology(link, field)
+        depth = min(depth, face.bit_count() + 1 + low)
+        dims = sorted({f.bit_count() - 1 for f in link.facets})
+        scm = scm and low >= dims[0] and all(
+            _lowest_homology(SimplicialComplex(
+                link.n, (f for f in link.facets if f.bit_count() > d)
+            ), field) >= d
+            for d in dims[1:]
+        )
+    return depth, scm
 
 
 def is_cohen_macaulay(complex: SimplicialComplex, field: PrimeField) -> bool:
-    """Reisner's criterion over GF(p).
-
-    True iff for every face F (the empty face included) the link of F has
-    vanishing reduced homology below its own dimension.  Impure complexes
-    fail immediately (purity is necessary); cone links are acyclic and skip
-    the rank computation.
-    """
-    if complex.is_void:
-        raise VoidComplexError("Cohen-Macaulayness undefined for void complex")
-    if complex.is_irrelevant:
-        return True
-    if not complex.is_pure:
-        return False
-    for face in complex.faces():
-        link = complex.link(face)
-        if link.is_irrelevant:
-            continue
-        d = link.dim
-        if d <= 0:
-            continue
-        if _is_cone(link):
-            continue
-        betti = reduced_betti_numbers(link, field)
-        if any(betti[i] for i in range(-1, d)):
-            return False
-    return True
+    """Reisner's criterion over GF(p), read off the face-link walk: Δ is CM
+    iff it is pure and depth k[Δ] = dim Δ + 1."""
+    return complex.is_pure and _link_walk(complex, field)[0] == complex.dim + 1

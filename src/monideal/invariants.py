@@ -1,37 +1,26 @@
 """Depth, projective dimension, the sequential Cohen-Macaulay test, and the
 verification pipeline tying them to big height.
 
-depth comes from the skeleton criterion: one plus the largest i for which the
-i-skeleton of the Stanley-Reisner complex is Cohen-Macaulay.  Projective
-dimension is n - depth.  Sequential Cohen-Macaulayness is decided through the
-pure-skeleton criterion.  All of it is checked against the big height: depth
-<= n - d and pd >= d always, with equality in the sequentially CM case.
+depth and sequential Cohen-Macaulayness both come from one walk over the
+faces of the Stanley-Reisner complex (``homology._link_walk``): Hochster's
+local-cohomology formula for depth, Duval's pure-skeleton criterion restated
+on links for SCM.  The paper's skeleton and pure-skeleton criteria are the
+test reference the walk is checked against.  Projective dimension is n -
+depth.  All of it is checked against the big height: depth <= n - d and
+pd >= d always, with equality in the sequentially CM case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SquareFreeIdeal
+from .complexes import SimplicialComplex, SquareFreeIdeal
 from .covers import minimal_primes
-from .homology import PrimeField, is_cohen_macaulay
+from .homology import PrimeField, _link_walk
 
 
 def depth(ideal: SquareFreeIdeal, field: PrimeField) -> int:
-    """max{i : i-skeleton of the Stanley-Reisner complex is CM} + 1.
-
-    Scans i downward from dim and stops at the first CM skeleton, which is
-    the maximum by construction; no monotonicity of skeleton CM-ness is
-    assumed (an ascending scan with early exit would need that).  The
-    (-1)-skeleton is the irrelevant complex and always CM, hence depth >= 0.
-    """
-    delta = ideal.stanley_reisner_complex()
-    best = -1
-    for i in range(delta.dim, -2, -1):
-        if i <= best:
-            break
-        if is_cohen_macaulay(delta.skeleton(i), field):
-            best = i
-    return best + 1
+    """depth of the quotient, by Hochster's formula over the face-link walk."""
+    return _link_walk(ideal.stanley_reisner_complex(), field)[0]
 
 
 def projective_dimension(ideal: SquareFreeIdeal, field: PrimeField) -> int:
@@ -40,16 +29,8 @@ def projective_dimension(ideal: SquareFreeIdeal, field: PrimeField) -> int:
 
 
 def is_sequentially_cm(ideal: SquareFreeIdeal, field: PrimeField) -> bool:
-    """True iff every pure skeleton of the Stanley-Reisner complex is CM.
-
-    i = -1 is skipped: the pure (-1)-skeleton is the irrelevant complex,
-    whose quotient is the base field and trivially CM.
-    """
-    delta = ideal.stanley_reisner_complex()
-    return all(
-        is_cohen_macaulay(delta.pure_skeleton(i), field)
-        for i in range(delta.dim + 1)
-    )
+    """Duval's criterion, restated on links, over the face-link walk."""
+    return _link_walk(ideal.stanley_reisner_complex(), field)[1]
 
 
 @dataclass(frozen=True)
@@ -65,6 +46,7 @@ class VerificationReport:
     is_cm: bool
     is_scm: bool
     field_p: int
+    primes: tuple[int, ...]
     inequality_depth_ok: bool
     inequality_pd_ok: bool
     theorem_equality_ok: bool
@@ -97,11 +79,12 @@ def verify_main_theorem(
     """
     primes = minimal_primes(ideal)
     n = ideal.n
-    dep = depth(ideal, field)
+    dim = n - primes.d_min
+    # the facets of the Stanley-Reisner complex are the primes' complements
+    full = (1 << n) - 1
+    delta = SimplicialComplex(n, (full ^ c for c in primes.primes), ideal.labels)
+    dep, scm = _link_walk(delta, field)
     pd = n - dep
-    delta = ideal.stanley_reisner_complex()
-    cm = is_cohen_macaulay(delta, field)
-    scm = is_sequentially_cm(ideal, field)
     pd_oracle = None
     agrees = None
     if with_oracle:
@@ -113,12 +96,13 @@ def verify_main_theorem(
         n=n,
         d_min=primes.d_min,
         d_max=primes.d_max,
-        dim=n - primes.d_min,
+        dim=dim,
         depth=dep,
         pd=pd,
-        is_cm=cm,
+        is_cm=dep == dim,
         is_scm=scm,
         field_p=field.p,
+        primes=primes.primes,
         inequality_depth_ok=dep <= n - primes.d_max,
         inequality_pd_ok=pd >= primes.d_max,
         theorem_equality_ok=(not scm) or pd == primes.d_max,

@@ -10,6 +10,7 @@ import pytest
 
 from monideal import PrimeField, SimplicialComplex, SquareFreeIdeal
 from monideal.bitsets import sort_key
+from monideal.families import Graph
 from monideal.homology import reduced_betti_numbers
 
 
@@ -61,11 +62,15 @@ def brute_minimal_nonfaces(complex):
 
 
 def complex_from_faces(face_set, n, labels=None):
-    """Build a complex from an explicit face set (maximal elements kept)."""
+    """Build a complex from an explicit, down-closed face set.
+
+    A face of a down-closed set is maximal iff adding any one more vertex
+    leaves the set; only those faces are kept.
+    """
     maximal = [
         f
         for f in face_set
-        if not any(o != f and subset_leq(f, o) for o in face_set)
+        if not any((f | 1 << v) in face_set for v in range(n) if not (f >> v) & 1)
     ]
     return SimplicialComplex(n, maximal, labels)
 
@@ -79,17 +84,75 @@ def reference_is_cm(complex, field):
     """
     faces = brute_faces(complex.facets, complex.n)
     for face in faces:
-        link_faces = {
-            g
-            for g in range(1 << complex.n)
-            if g & face == 0 and (g | face) in faces
-        }
+        # lk F = {G : G and F disjoint, G | F a face} = {H - F : F <= H}
+        link_faces = {h ^ face for h in faces if h & face == face}
         link = complex_from_faces(link_faces, complex.n)
         dim = max(f.bit_count() for f in link_faces) - 1
         betti = reduced_betti_numbers(link, field)
         if any(betti[i] for i in range(-1, dim)):
             return False
     return True
+
+
+def reference_depth(complex, field):
+    """The paper's skeleton criterion: depth k[Δ] = 1 + max{i : the
+    i-skeleton of Δ is CM}, every CM test by ``reference_is_cm``.
+
+    Scans i downward and stops at the first CM skeleton, so no monotonicity
+    of skeleton CM-ness is assumed.  The (-1)-skeleton is the irrelevant
+    complex and always CM.
+    """
+    return next(
+        i + 1
+        for i in range(complex.dim, -2, -1)
+        if reference_is_cm(complex.skeleton(i), field)
+    )
+
+
+def reference_is_scm(complex, field):
+    """Duval's pure-skeleton criterion: every pure i-skeleton, i >= 0, is CM."""
+    return all(
+        reference_is_cm(complex.pure_skeleton(i), field)
+        for i in range(complex.dim + 1)
+    )
+
+
+def non_scm_graph(rng, k, n):
+    """Graph on n > k vertices with an induced k-cycle C, k in {4, 6, 7},
+    whose independence complex is not sequentially Cohen-Macaulay.
+
+    Vertex k is a hub adjacent to no vertex of C; every vertex above k is a
+    leaf adjacent to the hub and, at random, to one vertex of C.  The link
+    of {hub} in the independence complex is then the independence complex
+    of C, which is not sequentially CM for these k (cycles are sequentially
+    CM only for k in {3, 5}), and links of sequentially CM complexes are
+    sequentially CM.
+    """
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    for leaf in range(k + 1, n):
+        edges.append((k, leaf))
+        if rng.random() < 0.6:
+            edges.append((rng.randrange(k), leaf))
+    return Graph(n, edges)
+
+
+def rp2_cone_and_suspension():
+    """RP^2, its cone and its suspension: CM (so SCM) exactly when p != 2."""
+    rp2 = rp2_complex()
+    apex, south = 1 << 6, 1 << 7
+    cone = SimplicialComplex(7, [f | apex for f in rp2.facets])
+    suspension = SimplicialComplex(
+        8, [f | apex for f in rp2.facets] + [f | south for f in rp2.facets]
+    )
+    return rp2, cone, suspension
+
+
+def bridged_triangles():
+    """Two disjoint triangles joined by an edge: not sequentially CM, though
+    it is contractible and every link is connected below its smallest facet
+    dimension.  Only the piece generated by the 2-faces, two disjoint
+    triangles, fails, so a test that reads just the links misses it."""
+    return SimplicialComplex(6, [0b000111, 0b111000, 0b001100])
 
 
 def random_complex(rng, n, max_facets=None):

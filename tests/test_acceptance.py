@@ -23,7 +23,15 @@ from monideal.families import (
     random_monomial_ideal,
     random_squarefree_ideal,
 )
-from conftest import masks, rp2_complex
+from conftest import (
+    bridged_triangles,
+    masks,
+    non_scm_graph,
+    reference_depth,
+    reference_is_scm,
+    rp2_complex,
+    rp2_cone_and_suspension,
+)
 
 FIELDS_12 = (2, 3)
 FIELDS_235 = (2, 3, 5)
@@ -86,6 +94,23 @@ def monomial_corpus():
 
 
 @lru_cache(maxsize=None)
+def non_scm_corpus():
+    """Ideals built to be not SCM: at every p, 12 edge ideals of graphs with
+    an induced C4, C6 or C7 (four per length, n <= 10) and the
+    Stanley-Reisner ideal of two triangles joined by an edge; at p = 2 only,
+    those of RP^2, its cone and its suspension."""
+    rng = random.Random(3030)
+    always = [
+        m.edge_ideal(non_scm_graph(rng, k, rng.randint(k + 2, 10)))
+        for k in (4, 6, 7)
+        for _ in range(4)
+    ]
+    always.append(bridged_triangles().stanley_reisner_ideal())
+    rp2s = [c.stanley_reisner_ideal() for c in rp2_cone_and_suspension()]
+    return tuple(always), tuple(rp2s)
+
+
+@lru_cache(maxsize=None)
 def pd_of(ideal, p):
     return m.projective_dimension(ideal, m.PrimeField(p))
 
@@ -140,25 +165,41 @@ def test_criterion_2_equality_under_scm():
 
 
 def test_criterion_3_oracle_cross_validation():
-    """Skeleton-criterion pd equals brute-force table pd on every corpus
-    ideal with n <= 10, at every field its criterion uses."""
-    checked = 0
+    """Three routes to pd agree on every corpus ideal with n <= 10, at every
+    field its criterion uses: the face-link walk, the skeleton-criterion
+    reference and the brute-force table.  Walk SCM equals the pure-skeleton
+    reference.  Ideals built to be not SCM (induced C4, C6, C7; two bridged
+    triangles; RP^2 with its cone and suspension) join at p in {2, 3, 5}."""
+    always, rp2s = non_scm_corpus()
+    pairs = [(ideal, p) for ideal in random_corpus() for p in FIELDS_12]
+    pairs += [
+        (ideal, p)
+        for ideal in tree_corpus() + chordal_corpus() + always + rp2s
+        for p in FIELDS_235
+    ]
+    must_fail = {(g, p) for g in always for p in FIELDS_235}
+    must_fail |= {(r, 2) for r in rp2s}
     mismatches = 0
-    for ideal in random_corpus():
-        for p in FIELDS_12:
-            checked += 1
-            if m.pd_oracle(ideal, m.PrimeField(p)) != pd_of(ideal, p):
-                mismatches += 1
-    for ideal in tree_corpus() + chordal_corpus():
-        for p in FIELDS_235:
-            checked += 1
-            if m.pd_oracle(ideal, m.PrimeField(p)) != pd_of(ideal, p):
-                mismatches += 1
+    split = {True: 0, False: 0}
+    for ideal, p in pairs:
+        field = m.PrimeField(p)
+        delta = ideal.stanley_reisner_complex()
+        walk_pd, walk_scm = pd_of(ideal, p), scm_of(ideal, p)
+        mismatches += not (
+            walk_pd
+            == ideal.n - reference_depth(delta, field)
+            == m.pd_oracle(ideal, field)
+            and walk_scm == reference_is_scm(delta, field)
+            and not (walk_scm and (ideal, p) in must_fail)
+        )
+        split[walk_scm] += 1
     ok = mismatches == 0
     report(
         "criterion 3 (oracle cross-validation)",
         ok,
-        f"{checked - mismatches}/{checked} ideal-field pairs agree exactly",
+        f"{len(pairs) - mismatches}/{len(pairs)} ideal-field pairs agree "
+        "exactly (pd: walk = skeleton reference = oracle; SCM: walk = "
+        f"pure-skeleton reference); {split[True]} SCM, {split[False]} non-SCM",
     )
     assert ok
 

@@ -1,10 +1,12 @@
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from monideal import SquareFreeIdeal, verify_main_theorem, PrimeField
+from monideal import bitsets
 from monideal.cli import main
 
 
@@ -170,3 +172,24 @@ def test_batch_json_lines():
     assert row["pd"] == 3
     assert row["pd_oracle"] is None
     assert row["scm_equality"] is True
+
+
+@pytest.mark.parametrize("flags, enumerations", [((), 1), (("--oracle",), 2)])
+def test_verify_enumerates_covers_once(monkeypatch, flags, enumerations):
+    """verify reads the primes and the Stanley-Reisner complex off one cover
+    enumeration; the oracle keeps its own complex, so it adds exactly one."""
+    original = bitsets.minimal_transversals
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("monideal") and vars(module).get(
+            "minimal_transversals"
+        ) is original:
+            monkeypatch.setattr(module, "minimal_transversals", counted)
+    code, out, _ = run_cli("verify", "x1*x2,x2*x3,x3*x4,x1*x4", *flags)
+    assert code == 0 and "minimal_primes: {x1,x3}, {x2,x4}" in out
+    assert len(calls) == enumerations

@@ -119,6 +119,34 @@ def test_no_numpy_import():
     assert out.stdout.strip() == "False"
 
 
+def test_chain_check_raises_under_optimize():
+    """The chain self-check raises an error instead of asserting, so it still
+    fires under ``python -O``: with every boundary sign forced to +1, the
+    full 2-simplex at p = 3 must fail it, and count no check."""
+    src = str(Path(monideal.__file__).parents[1])
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+from monideal import PrimeField, SimplicialComplex, homology
+from monideal.errors import MonidealError
+
+signed = homology._boundary_columns
+homology._boundary_columns = lambda cols, rows, p: [
+    dict.fromkeys(column, 1) for column in signed(cols, rows, p)
+]
+homology.VERIFY_CHAIN_COMPLEX = True
+try:
+    homology.reduced_betti_numbers(SimplicialComplex.full_simplex(3), PrimeField(3))
+    print(sys.flags.optimize, "returned", homology.CHAIN_CHECKS)
+except MonidealError as exc:
+    print(sys.flags.optimize, "raised", homology.CHAIN_CHECKS, exc)
+"""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "1 raised 0 boundary squared != 0"
+
+
 class TestBetti:
     def test_fixtures(self, gf2, gf3):
         hollow = SimplicialComplex(3, masks({0, 1}, {0, 2}, {1, 2}))
@@ -197,8 +225,8 @@ class TestCohenMacaulay:
     @pytest.mark.parametrize("seed", range(30))
     @pytest.mark.parametrize("p", [2, 3])
     def test_against_shortcut_free_reference(self, seed, p):
-        """The production test prunes impure/cone cases; the reference never
-        does.  They must agree on arbitrary complexes."""
+        """The production test skips impure complexes and cone links; the
+        reference never does.  They must agree on arbitrary complexes."""
         rng = random.Random(seed)
         complex = random_complex(rng, rng.randint(1, 6))
         field = PrimeField(p)

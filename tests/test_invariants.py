@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from monideal import (
     PrimeField,
+    SimplicialComplex,
     SquareFreeIdeal,
     big_height,
     cycle_graph,
     depth,
+    depth_oracle,
     edge_ideal,
     is_sequentially_cm,
     krull_dimension,
@@ -16,7 +20,13 @@ from monideal import (
     projective_dimension,
     verify_main_theorem,
 )
-from conftest import masks, random_ideal
+from conftest import (
+    bridged_triangles,
+    masks,
+    random_ideal,
+    reference_depth,
+    reference_is_scm,
+)
 
 
 def test_depth_examples(gf2):
@@ -36,6 +46,8 @@ def test_is_sequentially_cm_examples(gf2):
     assert is_sequentially_cm(edge_ideal(cycle_graph(5)), gf2)
     # CM with pure complex implies SCM: the maximal ideal
     assert is_sequentially_cm(SquareFreeIdeal(3, [1, 2, 4]), gf2)
+    # fails only in the piece generated by the 2-faces of Δ
+    assert not is_sequentially_cm(bridged_triangles().stanley_reisner_ideal(), gf2)
 
 
 def test_verify_p4(gf2):
@@ -114,3 +126,31 @@ def test_purity_steps(seed):
     if primes.d_min < primes.d_max:
         for i in range(cut + 1, delta.dim + 1):
             assert not delta.skeleton(i).is_pure
+
+
+@st.composite
+def complexes(draw):
+    """A complex on n <= 7 vertices other than the full simplex, whose
+    Stanley-Reisner ideal would be zero."""
+    n = draw(st.integers(1, 7))
+    facets = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    complex = SimplicialComplex(n, facets)
+    assume(complex.facets != ((1 << n) - 1,))
+    return complex
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(complexes())
+@example(bridged_triangles())
+def test_walk_matches_skeleton_reference_and_oracle(complex):
+    """Walk depth = skeleton-criterion depth = oracle depth, and walk SCM =
+    pure-skeleton SCM, at p in {2, 3, 5}."""
+    ideal = complex.stanley_reisner_ideal()
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        assert (
+            depth(ideal, field)
+            == reference_depth(complex, field)
+            == depth_oracle(ideal, field)
+        )
+        assert is_sequentially_cm(ideal, field) == reference_is_scm(complex, field)
