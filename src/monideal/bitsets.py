@@ -77,7 +77,8 @@ def minimal_transversals(edges: Iterable[int], n: int) -> tuple[int, ...]:
     joins the transversal; vertices already branched over at this edge are
     excluded from deeper levels so each minimal transversal is reached once.
     Leaves are filtered for inclusion-minimality (a chosen vertex may turn out
-    redundant once later edges force its neighbors in).
+    redundant once later edges force its neighbors in): a transversal is
+    minimal iff each of its vertices is the only one it has in some edge.
 
     An empty edge has no transversal; with no edges the empty set is the
     unique (degenerate) transversal.
@@ -110,13 +111,13 @@ def minimal_transversals(edges: Iterable[int], n: int) -> tuple[int, ...]:
 
     minimal = []
     for cand in found:
-        # minimal iff every chosen vertex is the sole cover of some edge
-        ok = True
-        for v in bits(cand):
-            rest = cand ^ (1 << v)
-            if all(e & rest for e in edge_list):
-                ok = False
-                break
-        if ok:
+        # minimal iff every chosen vertex is the sole cover of some edge:
+        # collect the vertices that are, in one pass over the edges
+        private = 0
+        for e in edge_list:
+            hit = e & cand
+            if hit & (hit - 1) == 0:
+                private |= hit
+        if private == cand:
             minimal.append(cand)
     return tuple(sorted(set(minimal), key=sort_key))

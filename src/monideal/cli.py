@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import traceback
@@ -306,7 +307,10 @@ def cmd_batch(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused; parsing
+    leaves it unchanged."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--field", type=int, default=2, help="prime field order")
     shared.add_argument("--json", action="store_true", help="machine-readable output")

@@ -9,16 +9,13 @@ are legal and matter for the ring-theoretic counts downstream.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import combinations
 
 from .bitsets import (
     antichain_maximal,
     antichain_minimal,
     as_mask,
     bits,
-    members,
     minimal_transversals,
-    sort_key,
     submasks,
 )
 from .errors import (
@@ -80,6 +77,16 @@ class SimplicialComplex:
             _check_range(m, n)
         object.__setattr__(self, "facets", antichain_maximal(masks))
 
+    @classmethod
+    def _trusted(cls, n: int, labels: tuple[str, ...], facets: tuple[int, ...]):
+        """A complex from parts that are already valid: ``labels`` checked,
+        ``facets`` an antichain of in-range masks in (size, members) order."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "facets", facets)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
 
@@ -121,26 +128,16 @@ class SimplicialComplex:
         return any(m & ~f == 0 for f in self.facets)
 
     def faces_by_dim(self) -> dict[int, list[int]]:
-        """All faces grouped by dimension, each group sorted; {} if void."""
-        if self.is_void:
-            return {}
-        grouped: dict[int, set[int]] = {}
-        seen: set[int] = set()
+        """All faces grouped by dimension, each group in increasing int
+        order; {} if void.  The order is not free: the rank kernels in
+        ``homology`` fill in far less on it than on set order."""
+        faces: set[int] = set()
         for facet in self.facets:
-            for sub in submasks(facet):
-                if sub not in seen:
-                    seen.add(sub)
-                    grouped.setdefault(sub.bit_count() - 1, set()).add(sub)
-        return {
-            d: sorted(group, key=sort_key) for d, group in sorted(grouped.items())
-        }
-
-    def faces(self) -> list[int]:
-        """Every face as a mask (empty face included); [] if void."""
-        out: list[int] = []
-        for group in self.faces_by_dim().values():
-            out.extend(group)
-        return out
+            faces.update(submasks(facet))
+        grouped: dict[int, list[int]] = {}
+        for face in sorted(faces):
+            grouped.setdefault(face.bit_count() - 1, []).append(face)
+        return dict(sorted(grouped.items()))
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_{-1}, f_0, ..., f_dim); raises on the void complex."""
@@ -148,17 +145,6 @@ class SimplicialComplex:
         if not by_dim:
             raise VoidComplexError("the void complex has no f-vector")
         return tuple(len(by_dim.get(d, ())) for d in range(-1, self.dim + 1))
-
-    def _faces_of_dim(self, i: int) -> list[int]:
-        if i == -1:
-            return [0]
-        found: set[int] = set()
-        for facet in self.facets:
-            verts = members(facet)
-            if len(verts) >= i + 1:
-                for combo in combinations(verts, i + 1):
-                    found.add(as_mask(combo))
-        return sorted(found, key=sort_key)
 
     def skeleton(self, i: int) -> "SimplicialComplex":
         """Subcomplex of all faces of dimension <= i.
@@ -168,27 +154,31 @@ class SimplicialComplex:
         if self.is_void or not -1 <= i <= self.dim:
             raise OutOfRangeError(f"skeleton index {i} outside [-1, dim]")
         keep = [f for f in self.facets if f.bit_count() - 1 < i]
-        keep.extend(self._faces_of_dim(i))
+        keep.extend(self.faces_by_dim()[i])
         return SimplicialComplex(self.n, keep, self.labels)
 
     def pure_skeleton(self, i: int) -> "SimplicialComplex":
         """Subcomplex generated by exactly the i-dimensional faces."""
         if self.is_void or not -1 <= i <= self.dim:
             raise OutOfRangeError(f"pure skeleton index {i} outside [-1, dim]")
-        return SimplicialComplex(self.n, self._faces_of_dim(i), self.labels)
+        return SimplicialComplex(self.n, self.faces_by_dim()[i], self.labels)
 
     def link(self, face: FaceLike) -> "SimplicialComplex":
-        """Faces disjoint from ``face`` whose union with it is again a face."""
+        """Faces disjoint from ``face`` whose union with it is again a face.
+
+        The facets containing ``face``, with ``face`` removed, are the link's
+        facets as they stand: they stay an antichain, and removing the same
+        vertices from two facets keeps their symmetric difference, so their
+        (size, members) order holds too.
+        """
         m = as_mask(face)
-        if not self.has_face(m):
+        _check_range(m, self.n)
+        facets = tuple(f ^ m for f in self.facets if m & ~f == 0)
+        if not facets:
             raise NotAFaceError(
                 f"{_format_subset(m, self.labels)} is not a face"
             )
-        return SimplicialComplex(
-            self.n,
-            (f ^ m for f in self.facets if m & ~f == 0),
-            self.labels,
-        )
+        return SimplicialComplex._trusted(self.n, self.labels, facets)
 
     def restrict(self, vertices: FaceLike) -> "SimplicialComplex":
         """Induced subcomplex on a vertex subset (void stays void)."""

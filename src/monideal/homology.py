@@ -6,9 +6,12 @@ irrelevant complex has reduced Betti number 1 there and any complex with a
 vertex has 0.  Ranks come from sparse elimination, since an i-face's boundary
 has only i + 1 nonzero entries: one kernel for p = 2 on bit-packed rows, one
 for odd p on dict rows.  Each keeps its pivots in a dict keyed by the pivot's
-leading column, so reducing a row costs one lookup per step.  Coefficient
-fields are prime fields only; field dependence of Cohen-Macaulayness is a
-feature under test, not a bug.
+largest column, so reducing a row costs one lookup per step.  Faces come in
+increasing int order, which lists every face after its own faces; with that
+order, eliminating from the largest column (as the standard persistent
+homology reduction does) fills in far less than from the smallest.
+Coefficient fields are prime fields only; field dependence of
+Cohen-Macaulayness is a feature under test, not a bug.
 
 One walk over the faces and their links (``_link_walk``) is the production
 route to depth, CM and SCM; the paper's skeleton criteria are its test
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 from .bitsets import bits
 from .complexes import SimplicialComplex
@@ -53,17 +56,18 @@ CHAIN_CHECKS = 0
 def _rank_gf2(rows: Iterable[int]) -> int:
     """Rank of a GF(2) matrix whose rows are bitmask ints.
 
-    Pivots are stored under their lowest set bit.  XOR with the pivot found
-    there clears that bit of the row and sets none below it, so each step
-    moves the row's lowest bit up until the row is zero or opens a new pivot.
+    Pivots are stored under their highest set bit (as its bit length).  XOR
+    with the pivot found there clears that bit of the row and sets none above
+    it, so each step moves the row's highest bit down until the row is zero
+    or opens a new pivot.
     """
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
-            low = row & -row
-            piv = pivots.get(low)
+            top = row.bit_length()
+            piv = pivots.get(top)
             if piv is None:
-                pivots[low] = row
+                pivots[top] = row
                 break
             row ^= piv
     return len(pivots)
@@ -73,15 +77,15 @@ def _rank_modp(rows: Iterable[dict[int, int]], p: int) -> int:
     """Rank over GF(p) of a matrix given as sparse rows ``{column: entry}``.
 
     Entries may be any ints; they are reduced mod p here.  Each pivot is
-    stored under its smallest column, scaled so that entry is 1, and without
-    that entry: subtracting f times the stored rest from a row whose smallest
+    stored under its largest column, scaled so that entry is 1, and without
+    that entry: subtracting f times the stored rest from a row whose largest
     column is c, after dropping the row's entry f there, eliminates column c.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         row = {c: x % p for c, x in row.items() if x % p}
         while row:
-            c = min(row)
+            c = max(row)
             f = row.pop(c)
             rest = pivots.get(c)
             if rest is None:
@@ -130,9 +134,10 @@ def boundary_matrix(
 ) -> list[list[int]]:
     """The i-th boundary map mod p, as a list of rows.
 
-    Rows are the (i-1)-faces, columns the i-faces, both in (size, members)
-    order; the entry for dropping vertex v from face F is (-1)^(position of v
-    in sorted F), reduced mod p.  i = 0 maps vertices to the empty face.
+    Rows are the (i-1)-faces, columns the i-faces, both in increasing int
+    order as ``faces_by_dim`` lists them; the entry for dropping vertex v
+    from face F is (-1)^(position of v in sorted F), reduced mod p.  i = 0
+    maps vertices to the empty face.
     """
     by_dim = complex.faces_by_dim()
     if not by_dim:
@@ -160,9 +165,11 @@ def _boundary_rank(cols: list[int], rows: list[int], p: int) -> int:
         index = {f: k for k, f in enumerate(rows)}
         packed = []
         for face in cols:
-            r = 0
-            for v in bits(face):
-                r |= 1 << index[face ^ (1 << v)]
+            r, rest = 0, face
+            while rest:
+                low = rest & -rest
+                r |= 1 << index[face ^ low]
+                rest ^= low
             packed.append(r)
         return _rank_gf2(packed)
     return _rank_modp(_boundary_columns(cols, rows, p), p)
@@ -228,26 +235,38 @@ def _lowest_homology(complex: SimplicialComplex, field: PrimeField) -> int:
 def _link_walk(complex: SimplicialComplex, field: PrimeField) -> tuple[int, bool]:
     """(depth of k[Δ], whether Δ is sequentially CM), from one face walk.
 
-    Each face F is visited once and its link built once.  Hochster's formula
-    for local cohomology gives depth = min over F of |F| + 1 +
+    Each face F is visited once, depth first from the empty face: the
+    children of F add one vertex v of lk F above max(F), and their links come
+    from the parent's, lk(F ∪ v) = lk_{lk F}(v).  Hochster's formula for
+    local cohomology gives depth = min over F of |F| + 1 +
     min{j : H̃_j(lk F) != 0}; a facet's link is the irrelevant complex, with
     H̃_{-1} != 0, so it gives |F|.  Duval's pure-skeleton criterion, restated
     on links, gives SCM: for every F and every facet dimension d of lk F, the
     subcomplex generated by the facets of dimension >= d has H̃_j = 0 for
-    j < d.  For the smallest d that subcomplex is lk F itself.
+    j < d.  For the smallest d that subcomplex is lk F itself; the others
+    keep a subset of its facets, so they are valid as they stand.  The void
+    complex has no faces: (n, True).
     """
     depth, scm = complex.n, True
-    for face in complex.faces():
-        link = complex.link(face)
+
+    def visit(size: int, start: int, link: SimplicialComplex):
+        # link = lk F with |F| = size; children add vertices >= start
+        nonlocal depth, scm
         low = -1 if link.is_irrelevant else _lowest_homology(link, field)
-        depth = min(depth, face.bit_count() + 1 + low)
+        depth = min(depth, size + 1 + low)
         dims = sorted({f.bit_count() - 1 for f in link.facets})
         scm = scm and low >= dims[0] and all(
-            _lowest_homology(SimplicialComplex(
-                link.n, (f for f in link.facets if f.bit_count() > d)
+            _lowest_homology(SimplicialComplex._trusted(
+                link.n, link.labels,
+                tuple(f for f in link.facets if f.bit_count() > d),
             ), field) >= d
             for d in dims[1:]
         )
+        for v in bits(reduce(or_, link.facets) >> start << start):
+            visit(size + 1, v + 1, link.link(1 << v))
+
+    if not complex.is_void:
+        visit(0, 0, complex)
     return depth, scm
 
 

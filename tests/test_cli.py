@@ -7,7 +7,7 @@ import pytest
 
 from monideal import SquareFreeIdeal, verify_main_theorem, PrimeField
 from monideal import bitsets
-from monideal.cli import main
+from monideal.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -193,3 +193,26 @@ def test_verify_enumerates_covers_once(monkeypatch, flags, enumerations):
     code, out, _ = run_cli("verify", "x1*x2,x2*x3,x3*x4,x1*x4", *flags)
     assert code == 0 and "minimal_primes: {x1,x3}, {x2,x4}" in out
     assert len(calls) == enumerations
+
+
+def test_parser_reuse_matches_fresh_parser():
+    """The parser is built once per process; a call after a failed call, or
+    after one with other flags, prints what it prints on a fresh parser."""
+    ideal = "x1*x2,x2*x3,x3*x4"
+    calls = [
+        ("verify", ideal, "--json", "--oracle"),
+        ("verify", ideal, "--field", "4"),
+        ("verify", ideal, "--json"),
+        ("pd", ideal, "--field", "3"),
+        ("primes", ideal, "--json"),
+    ]
+    reused = [run_cli(*argv)[:2] for argv in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(*argv)[:2])
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 2, 0, 0, 0]
+    assert json.loads(reused[0][1])["pd_oracle"] == 2
+    assert json.loads(reused[2][1])["pd_oracle"] is None

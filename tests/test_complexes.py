@@ -220,6 +220,32 @@ class TestLinkRestrict:
         with pytest.raises(NotAFaceError):
             self.delta.link([0, 3])
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_link_matches_validating_constructor(self, seed):
+        """``link`` skips validation; its result must equal, facet tuple and
+        hash included, the complex the validating constructor builds."""
+        rng = random.Random(900 + seed)
+        n = rng.randint(1, 7)
+        labels = tuple(f"v{rng.randrange(100)}_{i}" for i in range(n))
+        delta = SimplicialComplex(n, random_complex(rng, n).facets, labels)
+        faces = brute_faces(delta.facets, n)
+        for face in sorted(faces):
+            link = delta.link(face)
+            expected = SimplicialComplex(
+                n, [f ^ face for f in delta.facets if face & ~f == 0], labels
+            )
+            assert link == expected
+            assert link.facets == expected.facets
+            assert link.labels == labels
+            assert hash(link) == hash(expected)
+        for nonface in set(range(1 << n)) - faces:
+            with pytest.raises(NotAFaceError):
+                delta.link(nonface)
+        with pytest.raises(ValueError, match="out of range"):
+            delta.link(1 << n)
+        with pytest.raises(NotAFaceError):
+            SimplicialComplex.void(n).link(0)
+
     def test_restrict_examples(self):
         path = SimplicialComplex(3, masks({0, 1}, {1, 2}))
         assert path.restrict([0, 1]).facets == tuple(masks({0, 1}))
@@ -244,6 +270,30 @@ class TestLinkRestrict:
         assert brute_faces(restricted.facets, n) == {
             f for f in faces if subset_leq(f, w)
         }
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_faces_by_dim_int_order(seed):
+    rng = random.Random(1100 + seed)
+    n = rng.randint(1, 7)
+    delta = random_complex(rng, n)
+    by_dim = delta.faces_by_dim()
+    faces = brute_faces(delta.facets, n)
+    assert list(by_dim) == sorted({f.bit_count() - 1 for f in faces})
+    for d, group in by_dim.items():
+        assert group == sorted(f for f in faces if f.bit_count() - 1 == d)
+    assert SimplicialComplex.void(n).faces_by_dim() == {}
+
+
+def test_faces_by_dim_int_order_on_sparse_masks():
+    # masks far above the face count, where set order is not int order
+    delta = SimplicialComplex(20, masks({0, 19}, {3, 12, 18}, {7, 18}))
+    assert delta.faces_by_dim() == {
+        -1: [0],
+        0: [1 << 0, 1 << 3, 1 << 7, 1 << 12, 1 << 18, 1 << 19],
+        1: sorted(masks({0, 19}, {3, 12}, {3, 18}, {12, 18}, {7, 18})),
+        2: masks({3, 12, 18}),
+    }
 
 
 def test_dimension_examples():

@@ -17,7 +17,16 @@ from monideal import (
     rank_mod_p,
     reduced_betti_numbers,
 )
-from conftest import masks, random_complex, reference_is_cm, rp2_complex
+from monideal.homology import _link_walk
+from conftest import (
+    brute_faces,
+    masks,
+    random_complex,
+    reference_depth,
+    reference_is_cm,
+    reference_is_scm,
+    rp2_complex,
+)
 
 
 def sympy_rank(matrix, p):
@@ -217,6 +226,47 @@ class TestCohenMacaulay:
         assert is_cohen_macaulay(SimplicialComplex.irrelevant(3), gf2)
         with pytest.raises(VoidComplexError):
             is_cohen_macaulay(SimplicialComplex.void(1), gf2)
+
+    @pytest.mark.parametrize(
+        "complex",
+        [
+            SimplicialComplex.irrelevant(3),
+            SimplicialComplex.full_simplex(3),
+            SimplicialComplex(1, [0b1]),
+            SimplicialComplex(3, [0b010]),
+            SimplicialComplex(2, [0b01, 0b10]),
+        ],
+        ids=["irrelevant", "full-simplex", "one-vertex", "one-of-three",
+             "two-points"],
+    )
+    def test_walk_edge_cases(self, complex, gf2, gf3):
+        for field in (gf2, gf3):
+            assert _link_walk(complex, field) == (
+                reference_depth(complex, field),
+                reference_is_scm(complex, field),
+            )
+            assert is_cohen_macaulay(complex, field) == reference_is_cm(
+                complex, field
+            )
+
+    def test_walk_on_void_complex(self, gf2):
+        assert _link_walk(SimplicialComplex.void(4), gf2) == (4, True)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_walk_builds_one_link_per_nonempty_face(self, seed, monkeypatch):
+        rng = random.Random(1300 + seed)
+        n = rng.randint(1, 7)
+        complex = random_complex(rng, n)
+        original = SimplicialComplex.link
+        linked = []
+
+        def counted(self, face):
+            linked.append(face)
+            return original(self, face)
+
+        monkeypatch.setattr(SimplicialComplex, "link", counted)
+        _link_walk(complex, PrimeField(2))
+        assert len(linked) == len(brute_faces(complex.facets, n)) - 1
 
     def test_cm_implies_pure(self, gf2):
         impure = SimplicialComplex(4, masks({0, 1, 2}, {2, 3}))
