@@ -3,18 +3,23 @@
 This is the independent oracle: it never touches the face-link walk.
 For i >= 1 the Betti number in square-free multidegree sigma is the reduced
 homology of the Stanley-Reisner complex restricted to sigma, in degree
-|sigma| - i - 1, and the table is complete over all 2^n subsets.  Vertex
-subsets that are faces restrict to full simplices and contribute nothing, so
-they are skipped; everything else is swept exhaustively.  The whole point is
-trust, not speed, hence the hard cap on n.
+|sigma| - i - 1, and the table is complete over all 2^n subsets.  Every
+sigma is visited, but homology is computed only where sigma is the union of
+the generators it contains, that is on the lcm lattice (Gasharov, Peeva and
+Welker 1999).  Any other sigma has a vertex v in no generator inside it, so
+F ∪ {v} is a face for every face F of the restriction: the restriction is a
+cone over v and its reduced homology vanishes.  The whole point is trust,
+not speed, hence the hard cap on n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import reduce
+from operator import or_
 
 from .complexes import SquareFreeIdeal
 from .errors import TooLargeError
-from .homology import PrimeField, reduced_betti_numbers
+from .homology import PrimeField, _betti_of_faces
 
 DEFAULT_CAP = 20
 
@@ -53,12 +58,20 @@ def hochster_betti_table(
         raise TooLargeError(
             f"oracle sweep needs 2^{n} restrictions, cap is n <= {cap}"
         )
-    delta = ideal.stanley_reisner_complex()
+    faces = ideal.stanley_reisner_complex().faces_by_dim()
     entries = {(0, 0): 1}
     for sigma in range(1, 1 << n):
-        if delta.has_face(sigma):
+        # off the lcm lattice the restriction is a cone: no homology
+        if reduce(or_, (g for g in ideal.gens if g & ~sigma == 0), 0) != sigma:
             continue
-        betti = reduced_betti_numbers(delta.restrict(sigma), field)
+        # the restriction's faces, still grouped by dimension in int order
+        by_dim = {}
+        for d, group in faces.items():
+            kept = [f for f in group if f & ~sigma == 0]
+            if not kept:
+                break
+            by_dim[d] = kept
+        betti = _betti_of_faces(by_dim, field.p)
         size = sigma.bit_count()
         for deg, value in betti.items():
             if value:

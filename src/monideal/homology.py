@@ -182,8 +182,14 @@ def reduced_betti_numbers(
     by_dim = complex.faces_by_dim()
     if not by_dim:
         raise VoidComplexError("void complex has no homology")
-    top = complex.dim
-    p = field.p
+    return _betti_of_faces(by_dim, field.p)
+
+
+def _betti_of_faces(by_dim: dict[int, list[int]], p: int) -> dict[int, int]:
+    """Reduced Betti numbers over GF(p) of the complex whose faces are
+    ``by_dim``: nonempty groups for dimensions -1 through the top, each in
+    increasing int order, as ``faces_by_dim`` lists them."""
+    top = max(by_dim)
     # ranks[i] = rank of the boundary map C_i -> C_{i-1}
     ranks = {top + 1: 0}
     for i in range(0, top + 1):

@@ -75,6 +75,24 @@ def complex_from_faces(face_set, n, labels=None):
     return SimplicialComplex(n, maximal, labels)
 
 
+def reference_betti_table(ideal, field):
+    """Hochster's formula with no lattice skip: the reduced homology of the
+    restriction to every non-face sigma, each restriction built by
+    ``restrict`` from the brute-force Stanley-Reisner complex.  Returns the
+    nonzero entries {(i, sigma): beta}, with beta[0, empty] = 1."""
+    faces = brute_sr_faces(ideal)
+    delta = complex_from_faces(faces, ideal.n)
+    entries = {(0, 0): 1}
+    for sigma in range(1, 1 << ideal.n):
+        if sigma in faces:
+            continue
+        betti = reduced_betti_numbers(delta.restrict(sigma), field)
+        for deg, value in betti.items():
+            if value:
+                entries[(sigma.bit_count() - deg - 1, sigma)] = value
+    return entries
+
+
 def reference_is_cm(complex, field):
     """Reisner's criterion with no shortcuts.
 

@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 import pytest
 
@@ -16,7 +18,27 @@ from monideal import (
     pd_oracle,
     reduced_betti_numbers,
 )
-from conftest import masks, random_ideal
+from monideal import homology
+from conftest import masks, random_ideal, reference_betti_table, rp2_complex
+
+
+def on_lcm_lattice(ideal, sigma):
+    """sigma is the union of the generators it contains."""
+    return reduce(or_, (g for g in ideal.gens if g & ~sigma == 0), 0) == sigma
+
+
+def seeded_ideal(seed):
+    rng = random.Random(700 + seed)
+    return random_ideal(rng, rng.randint(4, 8))
+
+
+REFERENCE_CASES = {
+    **{f"random{seed}": seeded_ideal(seed) for seed in range(12)},
+    "rp2": rp2_complex().stanley_reisner_ideal(),
+    "degree_one_generator": SquareFreeIdeal(5, masks({0}, {1, 2}, {2, 3, 4}, {1, 4})),
+    "unused_variables": SquareFreeIdeal(7, masks({0, 2}, {2, 4}, {0, 4})),
+    "single_generator": SquareFreeIdeal(4, masks({0, 1, 3})),
+}
 
 
 def test_single_edge_table(gf2):
@@ -108,3 +130,44 @@ def test_entries_only_above_degree(seed, gf2):
     for (i, sigma), value in table.entries.items():
         assert value > 0
         assert sigma.bit_count() >= i
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_table_matches_exhaustive_reference(case, p):
+    """Skipping every sigma off the lcm lattice loses no entry."""
+    ideal = REFERENCE_CASES[case]
+    field = PrimeField(p)
+    assert hochster_betti_table(ideal, field).entries == reference_betti_table(
+        ideal, field
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_restrictions_off_lattice_are_exactly_the_cones(seed, gf2, gf3):
+    """Off the lcm lattice the restriction is a cone with no reduced
+    homology; on it no vertex lies in every facet of the restriction."""
+    rng = random.Random(1100 + seed)
+    ideal = random_ideal(rng, rng.randint(2, 8))
+    delta = ideal.stanley_reisner_complex()
+    for sigma in range(1, 1 << ideal.n):
+        restricted = delta.restrict(sigma)
+        apexes = reduce(and_, restricted.facets) & sigma
+        if on_lcm_lattice(ideal, sigma):
+            assert apexes == 0
+        else:
+            assert apexes
+            for field in (gf2, gf3):
+                betti = reduced_betti_numbers(restricted, field)
+                assert not any(betti.values())
+
+
+def test_oracle_runs_the_chain_check_once_per_lattice_degree(monkeypatch, gf3):
+    """With the self-check on, the oracle alone runs it, once for each
+    nonempty sigma on the lcm lattice and nowhere else."""
+    ideal = edge_ideal(cycle_graph(6))
+    lattice = [s for s in range(1, 1 << 6) if on_lcm_lattice(ideal, s)]
+    monkeypatch.setattr(homology, "VERIFY_CHAIN_COMPLEX", True)
+    before = homology.CHAIN_CHECKS
+    hochster_betti_table(ideal, gf3)
+    assert homology.CHAIN_CHECKS - before == len(lattice) > 0
