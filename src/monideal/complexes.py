@@ -58,6 +58,18 @@ def _format_subset(mask: int, labels) -> str:
     return "{" + ",".join(labels[v] for v in bits(mask)) + "}"
 
 
+def _faces_by_dim(facets: Iterable[int]) -> dict[int, list[int]]:
+    """Every face under some mask of ``facets``, grouped by dimension, each
+    group in increasing int order; {} for no facets."""
+    faces: set[int] = set()
+    for facet in facets:
+        faces.update(submasks(facet))
+    grouped: dict[int, list[int]] = {}
+    for face in sorted(faces):
+        grouped.setdefault(face.bit_count() - 1, []).append(face)
+    return dict(sorted(grouped.items()))
+
+
 class SimplicialComplex:
     """A simplicial complex given by its facet antichain.
 
@@ -131,13 +143,7 @@ class SimplicialComplex:
         """All faces grouped by dimension, each group in increasing int
         order; {} if void.  The order is not free: the rank kernels in
         ``homology`` fill in far less on it than on set order."""
-        faces: set[int] = set()
-        for facet in self.facets:
-            faces.update(submasks(facet))
-        grouped: dict[int, list[int]] = {}
-        for face in sorted(faces):
-            grouped.setdefault(face.bit_count() - 1, []).append(face)
-        return dict(sorted(grouped.items()))
+        return _faces_by_dim(self.facets)
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_{-1}, f_0, ..., f_dim); raises on the void complex."""

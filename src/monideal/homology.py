@@ -13,9 +13,12 @@ homology reduction does) fills in far less than from the smallest.
 Coefficient fields are prime fields only; field dependence of
 Cohen-Macaulayness is a feature under test, not a bug.
 
-One walk over the faces and their links (``_link_walk``) is the production
-route to depth, CM and SCM; the paper's skeleton criteria are its test
-reference.
+One walk over the closed faces of a complex and their links
+(``_link_walk``) is the production route to depth, CM and SCM; the paper's
+skeleton criteria are its test reference.  Any other face has a cone for a
+link and adds nothing.  Each link is shrunk to its strong-collapse core
+(``_core``) before its ranks are taken, which keeps every reduced Betti
+number.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .bitsets import bits
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _faces_by_dim
 from .errors import MonidealError, VoidComplexError
 
 
@@ -48,7 +51,8 @@ GF2 = PrimeField(2)
 # When enabled, every Betti computation also checks that consecutive
 # boundary maps compose to zero and that the alternating Betti sum matches
 # the alternating face count (reduced Euler characteristic), raising
-# MonidealError otherwise.  Off by default; the acceptance suite turns it on.
+# MonidealError otherwise; in the walk that is each core's chain complex.
+# Off by default; the acceptance suite turns it on.
 VERIFY_CHAIN_COMPLEX = False
 CHAIN_CHECKS = 0
 
@@ -227,52 +231,101 @@ def _verify_chain(by_dim: dict[int, list[int]], betti: dict[int, int], p: int):
     CHAIN_CHECKS += 1
 
 
-def _lowest_homology(complex: SimplicialComplex, field: PrimeField) -> int:
-    """Smallest j with H̃_j(complex) != 0, or n if the complex is acyclic.
+def _closed_faces(facets: tuple[int, ...]):
+    """Yield ``(P, fac)`` once for every closed face P of the nonvoid complex
+    with these facets, where ``fac`` lists the facets containing P.
 
-    A cone (some vertex lies in every facet) is acyclic and needs no ranks.
+    P is closed when it is the intersection of the facets containing it.
+    The root is the intersection of all facets (nonempty iff the complex is
+    a cone).  Prefix-preserving closure extension (Uno, Asai, Uchida and
+    Arimura, LCM ver. 2, 2004) reaches every other closed face exactly once:
+    from P with start index s, each vertex e >= s of ∪fac ∖ P gives
+    Q = ∩{f in fac : e in f}, which is a child, with start index e + 1, iff
+    Q adds no vertex below e.
     """
-    if reduce(and_, complex.facets):
-        return complex.n
-    betti = reduced_betti_numbers(complex, field)
-    return min((j for j, b in betti.items() if b), default=complex.n)
+    stack = [(reduce(and_, facets), list(facets), 0)]
+    while stack:
+        face, fac, start = stack.pop()
+        yield face, fac
+        for e in bits((reduce(or_, fac) & ~face) >> start << start):
+            bit = 1 << e
+            sub = [f for f in fac if f & bit]
+            closure = reduce(and_, sub)
+            if (closure ^ face) & (bit - 1) == 0:
+                stack.append((closure, sub, e + 1))
+
+
+def _core(facets: list[int]) -> list[int]:
+    """Facets of a strong-collapse core of the complex with these facets.
+
+    A vertex v is dominated when some other vertex lies in every facet
+    containing v; deleting it keeps the homotopy type (Barmak and Minian,
+    Strong homotopy types, nerves and collapses, 2012), so the reduced Betti
+    numbers do not change over any field.  Deletion repeats until no vertex
+    is dominated.  Removing v can only make the facets that contained v
+    non-maximal, and only under a facet that did not, so just those are
+    checked; the vertices of those facets are the only ones whose
+    domination can change, so just they are checked again.
+    """
+    todo = reduce(or_, facets)
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        star = [f for f in facets if f & bit]
+        common = reduce(and_, star) ^ bit
+        if not common:
+            continue
+        rest = [f for f in facets if not f & bit]
+        # a facet holding some f ∖ v holds the vertices common to the star
+        over = [h for h in rest if h & common == common]
+        facets = rest + [
+            g for g in (f ^ bit for f in star)
+            if not any(g & ~h == 0 for h in over)
+        ]
+        todo |= reduce(or_, star) ^ bit
+    return facets
 
 
 def _link_walk(complex: SimplicialComplex, field: PrimeField) -> tuple[int, bool]:
-    """(depth of k[Δ], whether Δ is sequentially CM), from one face walk.
+    """(depth of k[Δ], whether Δ is sequentially CM), from one walk over
+    the closed faces of Δ (``_closed_faces``).
 
-    Each face F is visited once, depth first from the empty face: the
-    children of F add one vertex v of lk F above max(F), and their links come
-    from the parent's, lk(F ∪ v) = lk_{lk F}(v).  Hochster's formula for
-    local cohomology gives depth = min over F of |F| + 1 +
-    min{j : H̃_j(lk F) != 0}; a facet's link is the irrelevant complex, with
-    H̃_{-1} != 0, so it gives |F|.  Duval's pure-skeleton criterion, restated
-    on links, gives SCM: for every F and every facet dimension d of lk F, the
-    subcomplex generated by the facets of dimension >= d has H̃_j = 0 for
-    j < d.  For the smallest d that subcomplex is lk F itself; the others
-    keep a subset of its facets, so they are valid as they stand.  The void
-    complex has no faces: (n, True).
+    Hochster's formula for local cohomology gives depth = min over faces F
+    of |F| + 1 + min{j : H̃_j(lk F) != 0}; a facet's link is the irrelevant
+    complex, with H̃_{-1} != 0, so it gives |F|.  Duval's pure-skeleton
+    criterion, restated on links, gives SCM: for every F and every facet
+    dimension d of lk F, the subcomplex generated by the facets of dimension
+    >= d has H̃_j = 0 for j < d.  For the smallest d that subcomplex is lk F
+    itself.  Only closed faces matter: if F is not closed, a vertex outside
+    F lies in every facet containing F, so lk F and each of those
+    subcomplexes is a cone over it and has no reduced homology.  The link of
+    a closed P is the facets containing P with P removed.  Each complex is
+    shrunk to its strong-collapse core (``_core``) before any ranks; a core
+    with one facet is a point, or the irrelevant complex if that facet is
+    empty.  The void complex has no faces: (n, True).
     """
-    depth, scm = complex.n, True
+    n, p = complex.n, field.p
+    depth, scm = n, True
 
-    def visit(size: int, start: int, link: SimplicialComplex):
-        # link = lk F with |F| = size; children add vertices >= start
-        nonlocal depth, scm
-        low = -1 if link.is_irrelevant else _lowest_homology(link, field)
-        depth = min(depth, size + 1 + low)
-        dims = sorted({f.bit_count() - 1 for f in link.facets})
+    def lowest(facets: list[int]) -> int:
+        # smallest j with H̃_j != 0, or n if the complex is acyclic
+        core = _core(facets)
+        if len(core) == 1:
+            return -1 if core[0] == 0 else n
+        betti = _betti_of_faces(_faces_by_dim(core), p)
+        return min((j for j, b in betti.items() if b), default=n)
+
+    if complex.is_void:
+        return n, True
+    for face, fac in _closed_faces(complex.facets):
+        link = [f ^ face for f in fac]
+        low = lowest(link)
+        depth = min(depth, face.bit_count() + 1 + low)
+        dims = sorted({f.bit_count() - 1 for f in link})
         scm = scm and low >= dims[0] and all(
-            _lowest_homology(SimplicialComplex._trusted(
-                link.n, link.labels,
-                tuple(f for f in link.facets if f.bit_count() > d),
-            ), field) >= d
+            lowest([f for f in link if f.bit_count() > d]) >= d
             for d in dims[1:]
         )
-        for v in bits(reduce(or_, link.facets) >> start << start):
-            visit(size + 1, v + 1, link.link(1 << v))
-
-    if not complex.is_void:
-        visit(0, 0, complex)
     return depth, scm
 
 

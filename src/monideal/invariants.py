@@ -2,9 +2,9 @@
 verification pipeline tying them to big height.
 
 depth and sequential Cohen-Macaulayness both come from one walk over the
-faces of the Stanley-Reisner complex (``homology._link_walk``): Hochster's
-local-cohomology formula for depth, Duval's pure-skeleton criterion restated
-on links for SCM.  The paper's skeleton and pure-skeleton criteria are the
+closed faces of the Stanley-Reisner complex (``homology._link_walk``):
+Hochster's local-cohomology formula for depth, Duval's pure-skeleton
+criterion restated on links for SCM.  The paper's skeleton and pure-skeleton criteria are the
 test reference the walk is checked against.  Projective dimension is n -
 depth.  All of it is checked against the big height: depth <= n - d and
 pd >= d always, with equality in the sequentially CM case.

@@ -1,6 +1,9 @@
 import random
 import subprocess
 import sys
+from functools import reduce
+from itertools import combinations
+from operator import and_, or_
 from pathlib import Path
 
 import pytest
@@ -17,15 +20,21 @@ from monideal import (
     rank_mod_p,
     reduced_betti_numbers,
 )
-from monideal.homology import _link_walk
+from monideal import homology
+from monideal.bitsets import bits, sort_key
+from monideal.families import FamilySpec, generate
+from monideal.homology import _core, _link_walk
 from conftest import (
+    bridged_triangles,
     brute_faces,
     masks,
     random_complex,
+    random_ideal,
     reference_depth,
     reference_is_cm,
     reference_is_scm,
     rp2_complex,
+    rp2_cone_and_suspension,
 )
 
 
@@ -215,6 +224,76 @@ class TestBetti:
             assert all(v == 0 for v in betti.values())
 
 
+def _visits(monkeypatch, complexes):
+    """Every face the walk visits on ``complexes``, in visit order."""
+    enumerate_closed = homology._closed_faces
+    visited = []
+
+    def counted(facets):
+        for face, fac in enumerate_closed(facets):
+            visited.append(face)
+            yield face, fac
+
+    monkeypatch.setattr(homology, "_closed_faces", counted)
+    for complex in complexes:
+        _link_walk(complex, PrimeField(2))
+    return visited
+
+
+def _sphere(k):
+    """Boundary of the k-simplex, a (k-1)-sphere."""
+    return SimplicialComplex(
+        k + 1, [sum(1 << v for v in c) for c in combinations(range(k + 1), k)]
+    )
+
+
+def _collapse_cases():
+    rng = random.Random(2024)
+    cases = [random_complex(rng, rng.randint(1, 8)) for _ in range(20)]
+    cases += [
+        random_ideal(rng, rng.randint(2, 8)).stanley_reisner_complex()
+        for _ in range(40)
+    ]
+    cases += [_sphere(k) for k in (2, 3, 4)]
+    cases += [*rp2_cone_and_suspension(), bridged_triangles()]
+    return cases
+
+
+class TestCore:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_keeps_reduced_betti_numbers(self, p):
+        field = PrimeField(p)
+        for complex in _collapse_cases():
+            betti = reduced_betti_numbers(complex, field)
+            core = _core(list(complex.facets))
+            kept = reduced_betti_numbers(SimplicialComplex(complex.n, core), field)
+            assert {d: b for d, b in betti.items() if b} == {
+                d: b for d, b in kept.items() if b
+            }
+
+    def test_core_is_a_full_subcomplex_without_dominated_vertex(self):
+        for complex in _collapse_cases():
+            core = _core(list(complex.facets))
+            kept = reduce(or_, core)
+            for v in bits(kept):
+                star = [f for f in core if f >> v & 1]
+                assert reduce(and_, star) == 1 << v
+            assert SimplicialComplex(complex.n, core).facets == tuple(
+                sorted(core, key=sort_key)
+            )
+            faces = brute_faces(complex.facets, complex.n)
+            assert brute_faces(core, complex.n) == {
+                f for f in faces if f & ~kept == 0
+            }
+
+    def test_collapsible_complexes_shrink_to_a_point(self):
+        cone = SimplicialComplex(7, [f | 1 << 6 for f in rp2_complex().facets])
+        for facets in ([0b111], list(cone.facets)):
+            core = _core(facets)
+            assert len(core) == 1 and core[0].bit_count() == 1
+        assert _core([0]) == [0]
+
+
 class TestCohenMacaulay:
     def test_examples(self, gf2, gf3):
         assert is_cohen_macaulay(SimplicialComplex.full_simplex(3), gf2)
@@ -252,21 +331,34 @@ class TestCohenMacaulay:
     def test_walk_on_void_complex(self, gf2):
         assert _link_walk(SimplicialComplex.void(4), gf2) == (4, True)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_walk_builds_one_link_per_nonempty_face(self, seed, monkeypatch):
+    @pytest.mark.parametrize("seed", range(16))
+    def test_walk_visits_exactly_closed_faces(self, seed, monkeypatch):
+        """The walk visits each closed face F = ∩{facets ⊇ F} once and no
+        other face, on Stanley-Reisner complexes of random ideals.  Odd seeds
+        cone the complex over extra vertices, so the root, the intersection
+        of all facets, is nonempty."""
         rng = random.Random(1300 + seed)
-        n = rng.randint(1, 7)
-        complex = random_complex(rng, n)
-        original = SimplicialComplex.link
-        linked = []
+        n = rng.randint(2, 5 if seed % 2 else 7)
+        complex = random_ideal(rng, n).stanley_reisner_complex()
+        if seed % 2:
+            apex = sum(1 << v for v in range(n, rng.randint(n + 1, 7)))
+            n = apex.bit_length()
+            complex = SimplicialComplex(n, [f | apex for f in complex.facets])
+        visited = _visits(monkeypatch, [complex])
+        closed = {
+            face
+            for face in brute_faces(complex.facets, n)
+            if reduce(and_, (f for f in complex.facets if face & ~f == 0))
+            == face
+        }
+        assert sorted(visited) == sorted(closed)
 
-        def counted(self, face):
-            linked.append(face)
-            return original(self, face)
-
-        monkeypatch.setattr(SimplicialComplex, "link", counted)
-        _link_walk(complex, PrimeField(2))
-        assert len(linked) == len(brute_faces(complex.facets, n)) - 1
+    def test_walk_visit_count_on_trees(self, monkeypatch):
+        """Deterministic guard against a walk over all faces: the three
+        20-vertex trees at seed 1 have 4,271 closed faces (86,076 faces)."""
+        ideals = generate(FamilySpec("tree", 20, seed=1, count=3))
+        complexes = [ideal.stanley_reisner_complex() for ideal in ideals]
+        assert len(_visits(monkeypatch, complexes)) == 4271
 
     def test_cm_implies_pure(self, gf2):
         impure = SimplicialComplex(4, masks({0, 1, 2}, {2, 3}))
