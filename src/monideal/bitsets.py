@@ -45,9 +45,18 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+_FLIP = str.maketrans("01", "10")
+
+
 def sort_key(mask: int) -> tuple:
-    """Deterministic order: by cardinality, then lexicographic on members."""
-    return (mask.bit_count(), members(mask))
+    """Deterministic order: by cardinality, then lexicographic on members.
+
+    For equal cardinality the lowest bit where two masks differ decides the
+    members order (the mask holding it comes first), so the key compares the
+    bit strings, lowest bit first and with 0 and 1 swapped, instead of
+    building a members tuple.
+    """
+    return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
 
 
 def antichain_maximal(masks: Iterable[int]) -> tuple[int, ...]:
@@ -73,12 +82,18 @@ def antichain_minimal(masks: Iterable[int]) -> tuple[int, ...]:
 def minimal_transversals(edges: Iterable[int], n: int) -> tuple[int, ...]:
     """All inclusion-minimal vertex sets meeting every edge mask.
 
-    Branch and bound: pick an uncovered edge, branch on which of its vertices
-    joins the transversal; vertices already branched over at this edge are
-    excluded from deeper levels so each minimal transversal is reached once.
-    Leaves are filtered for inclusion-minimality (a chosen vertex may turn out
-    redundant once later edges force its neighbors in): a transversal is
-    minimal iff each of its vertices is the only one it has in some edge.
+    MMCS (Murakami and Uno, Discrete Appl. Math. 170, 2014).  A chosen set S
+    is grown one vertex at a time.  Each chosen vertex u keeps its critical
+    edges ``crit[u]``: the edges that u alone covers within S.  S is a minimal
+    transversal iff it meets every edge and every ``crit[u]`` is nonempty,
+    and adding vertices only shrinks critical sets, so a branch stops as soon
+    as one of them empties and every leaf is a minimal transversal; there is
+    no minimality post-filter.  Edges are numbered and edge sets are masks of
+    edge indices (``occ[v]``: the edges containing v, ``uncov``: the edges S
+    misses).  Each node branches on the uncovered edge with the fewest
+    candidate vertices; its candidates leave ``cand`` and each comes back
+    after its own branch, so branch v excludes the candidates after v and each
+    minimal transversal is reached once.
 
     An empty edge has no transversal; with no edges the empty set is the
     unique (degenerate) transversal.
@@ -89,35 +104,38 @@ def minimal_transversals(edges: Iterable[int], n: int) -> tuple[int, ...]:
     if not edge_list:
         return (0,)
 
+    universe = 0
+    for e in edge_list:
+        universe |= e
+    occ = [0] * universe.bit_length()
+    for i, e in enumerate(edge_list):
+        for v in bits(e):
+            occ[v] |= 1 << i
     found: list[int] = []
+    crit: list[int] = []  # critical edge masks of the chosen vertices
 
-    def descend(chosen: int, excluded: int, remaining: tuple[int, ...]):
-        if not remaining:
+    def descend(chosen: int, cand: int, uncov: int):
+        if not uncov:
             found.append(chosen)
             return
-        # branch on the smallest usable edge
-        edge = min(remaining, key=lambda e: (e & ~excluded).bit_count())
-        usable = edge & ~excluded
-        if usable == 0:
-            return
-        veto = excluded
-        for v in bits(usable):
-            bit = 1 << v
-            rest = tuple(e for e in remaining if not e & bit)
-            descend(chosen | bit, veto, rest)
-            veto |= bit
+        branch, fewest = 0, universe.bit_count() + 1
+        for i in bits(uncov):
+            options = edge_list[i] & cand
+            count = options.bit_count()
+            if count < fewest:
+                branch, fewest = options, count
+                if count <= 1:
+                    break
+        cand &= ~branch
+        for v in bits(branch):
+            covered = occ[v]
+            saved = crit[:]
+            crit[:] = [c & ~covered for c in saved]
+            if 0 not in crit:
+                crit.append(uncov & covered)
+                descend(chosen | 1 << v, cand, uncov & ~covered)
+            crit[:] = saved
+            cand |= 1 << v
 
-    descend(0, 0, tuple(edge_list))
-
-    minimal = []
-    for cand in found:
-        # minimal iff every chosen vertex is the sole cover of some edge:
-        # collect the vertices that are, in one pass over the edges
-        private = 0
-        for e in edge_list:
-            hit = e & cand
-            if hit & (hit - 1) == 0:
-                private |= hit
-        if private == cand:
-            minimal.append(cand)
-    return tuple(sorted(set(minimal), key=sort_key))
+    descend(0, universe, (1 << len(edge_list)) - 1)
+    return tuple(sorted(found, key=sort_key))

@@ -102,13 +102,22 @@ class MonomialIdeal:
 
 
 def _minimalize(vectors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Drop generators divisible by another generator; dedupe and sort."""
+    """Drop generators divisible by another generator; dedupe and sort.
+
+    A divisor's support lies inside the multiple's, so candidates are
+    rejected by support mask before any exponent is compared.
+    """
     unique = sorted(set(vectors), key=lambda v: (sum(v), v))
-    kept: list[tuple[int, ...]] = []
+    kept: list[tuple[tuple[int, ...], int]] = []
     for vec in unique:
-        if not any(all(a >= b for a, b in zip(vec, other)) for other in kept):
-            kept.append(vec)
-    return tuple(kept)
+        supp = sum(1 << j for j, e in enumerate(vec) if e)
+        if not any(
+            not other_supp & ~supp
+            and all(a >= b for a, b in zip(vec, other))
+            for other, other_supp in kept
+        ):
+            kept.append((vec, supp))
+    return tuple(vec for vec, _ in kept)
 
 
 @dataclass(frozen=True)

@@ -173,12 +173,17 @@ def bridged_triangles():
     return SimplicialComplex(6, [0b000111, 0b111000, 0b001100])
 
 
-def random_complex(rng, n, max_facets=None):
-    """Random nonvoid complex with at least one nonempty facet."""
-    count = rng.randint(1, max_facets or max(2, n))
+def random_complex(rng, n):
+    """Random nonvoid complex with at least one nonempty facet.
+
+    At least two facets are drawn, each of size below n (for n > 1): a
+    facet drawn at full size would swallow every other one, and then most
+    samples would be a single simplex.
+    """
+    count = rng.randint(2, max(2, n))
     facets = []
     for _ in range(count):
-        size = rng.randint(1, n)
+        size = rng.randint(1, max(1, n - 1))
         facets.append(sum(1 << v for v in rng.sample(range(n), size)))
     return SimplicialComplex(n, facets)
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from monideal import families
 from monideal.bitsets import (
     antichain_maximal,
     antichain_minimal,
@@ -9,9 +10,11 @@ from monideal.bitsets import (
     bits,
     members,
     minimal_transversals,
+    sort_key,
     submasks,
 )
-from conftest import brute_minimal_covers
+from monideal.families import FamilySpec
+from conftest import brute_minimal_covers, random_complex
 
 
 def test_as_mask_roundtrip():
@@ -77,3 +80,71 @@ def test_minimal_transversals_match_bruteforce(seed):
         for v in bits(cover):
             rest = cover ^ (1 << v)
             assert any(not rest & e for e in edges)
+
+
+def _random_edges(rng, n, count, sizes):
+    return [
+        sum(1 << v for v in rng.sample(range(n), rng.choice(sizes)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_minimal_transversals_of_graphs(seed):
+    rng = random.Random(1500 + seed)
+    n = rng.randint(2, 10)
+    edges = _random_edges(rng, n, rng.randint(1, 3 * n), (2,))
+    assert list(minimal_transversals(edges, n)) == brute_minimal_covers(edges, n)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_minimal_transversals_of_small_edge_hypergraphs(seed):
+    rng = random.Random(1600 + seed)
+    n = rng.randint(3, 10)
+    edges = _random_edges(rng, n, rng.randint(1, 3 * n), (2, 3))
+    assert list(minimal_transversals(edges, n)) == brute_minimal_covers(edges, n)
+
+
+@pytest.mark.parametrize("kind", ["tree", "chordal", "path_ideal", "simplicial_tree"])
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_minimal_transversals_of_family_ideals(kind, n):
+    for ideal in families.generate(FamilySpec(kind, n, seed=n, count=3)):
+        assert list(minimal_transversals(ideal.gens, n)) == brute_minimal_covers(
+            ideal.gens, n
+        )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_minimal_transversals_of_facet_complements(seed):
+    """The Stanley-Reisner ideal's generators are the minimal transversals of
+    the facet complements: large edges, many small covers."""
+    rng = random.Random(1700 + seed)
+    n = rng.randint(2, 8)
+    delta = random_complex(rng, n)
+    full = (1 << n) - 1
+    complements = [full ^ f for f in delta.facets]
+    expected = brute_minimal_covers(complements, n)
+    assert list(minimal_transversals(complements, n)) == expected
+    assert list(delta.stanley_reisner_ideal().gens) == expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_minimal_transversals_ignore_duplicate_edges(seed):
+    rng = random.Random(1800 + seed)
+    n = rng.randint(2, 10)
+    edges = _random_edges(rng, n, rng.randint(1, 2 * n), (2, 3))
+    doubled = edges + rng.choices(edges, k=len(edges))
+    rng.shuffle(doubled)
+    assert minimal_transversals(doubled, n) == minimal_transversals(edges, n)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 16, 63, 64, 65, 100, 130])
+def test_sort_key_matches_members_order(width):
+    """Same order as (size, members), on random masks and on masks of one
+    shared size, where only the members decide."""
+    rng = random.Random(width)
+    pool = [rng.getrandbits(width) for _ in range(60)]
+    size = rng.randint(0, width)
+    pool += [sum(1 << v for v in rng.sample(range(width), size)) for _ in range(60)]
+    expected = sorted(pool, key=lambda m: (m.bit_count(), members(m)))
+    assert sorted(pool, key=sort_key) == expected

@@ -300,3 +300,13 @@ def test_dimension_examples():
     assert SimplicialComplex(4, masks({0, 1, 2}, {2, 3})).dim == 2
     assert SimplicialComplex.irrelevant(1).dim == -1
     assert SimplicialComplex(2, [0b01, 0b10]).dim == 0
+
+
+def test_random_complex_usually_has_several_facets():
+    """The sampler behind the random-complex tests must give more than one
+    simplex on most draws, or those tests see few shapes."""
+    several = 0
+    for seed in range(1300, 1400):
+        rng = random.Random(seed)
+        several += len(random_complex(rng, rng.randint(2, 7)).facets) >= 2
+    assert several >= 60

@@ -20,6 +20,31 @@ def test_monomial_ideal_minimalizes():
     assert ideal.gens == ((2, 0),)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_monomial_ideal_minimalizes_like_componentwise_division(seed):
+    """Generators are exactly the vectors no other generator divides,
+    ordered by (degree, exponents)."""
+    rng = random.Random(2100 + seed)
+    n = rng.randint(1, 5)
+    vectors = [
+        tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+        for _ in range(rng.randint(1, 12))
+    ]
+    vectors = [v for v in vectors if any(v)] or [(1,) * n]
+    unique = set(vectors)
+    expected = sorted(
+        (
+            v
+            for v in unique
+            if not any(
+                u != v and all(a >= b for a, b in zip(v, u)) for u in unique
+            )
+        ),
+        key=lambda v: (sum(v), v),
+    )
+    assert MonomialIdeal(n, vectors).gens == tuple(expected)
+
+
 def test_monomial_ideal_rejects_degenerate():
     with pytest.raises(ZeroOrUnitIdealError):
         MonomialIdeal(2, [])
