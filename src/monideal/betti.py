@@ -8,8 +8,12 @@ sigma is visited, but homology is computed only where sigma is the union of
 the generators it contains, that is on the lcm lattice (Gasharov, Peeva and
 Welker 1999).  Any other sigma has a vertex v in no generator inside it, so
 F ∪ {v} is a face for every face F of the restriction: the restriction is a
-cone over v and its reduced homology vanishes.  The whole point is trust,
-not speed, hence the hard cap on n.
+cone over v and its reduced homology vanishes.  The faces of the
+Stanley-Reisner complex are listed in the same sweep: sigma is a face when
+no generator lies inside it, and every face inside sigma is a smaller int,
+so it is listed before sigma is reached.  The oracle enumerates no covers:
+it needs only the generators and the rank kernel.  The whole point is
+trust, not speed, hence the hard cap on n.
 """
 from __future__ import annotations
 
@@ -58,13 +62,18 @@ def hochster_betti_table(
         raise TooLargeError(
             f"oracle sweep needs 2^{n} restrictions, cap is n <= {cap}"
         )
-    faces = ideal.stanley_reisner_complex().faces_by_dim()
+    # Δ's faces met so far, by dimension, each group in increasing int order
+    faces: dict[int, list[int]] = {-1: [0]}
     entries = {(0, 0): 1}
     for sigma in range(1, 1 << n):
-        # off the lcm lattice the restriction is a cone: no homology
-        if reduce(or_, (g for g in ideal.gens if g & ~sigma == 0), 0) != sigma:
+        union = reduce(or_, (g for g in ideal.gens if g & ~sigma == 0), 0)
+        if not union:
+            faces.setdefault(sigma.bit_count() - 1, []).append(sigma)
             continue
-        # the restriction's faces, still grouped by dimension in int order
+        # off the lcm lattice the restriction is a cone: no homology
+        if union != sigma:
+            continue
+        # the restriction's faces are ints below sigma, so all listed already
         by_dim = {}
         for d, group in faces.items():
             kept = [f for f in group if f & ~sigma == 0]

@@ -31,7 +31,6 @@ from .families import KINDS, FamilySpec, generate
 from .homology import PrimeField, is_cohen_macaulay
 from .invariants import (
     VerificationReport,
-    depth,
     is_sequentially_cm,
     projective_dimension,
     verify_main_theorem,
@@ -45,8 +44,16 @@ BATCH_HEADER = (
 )
 
 
+def _square_free(mono: MonomialIdeal) -> SquareFreeIdeal:
+    """The ideal the engines see: a square-free input as it is (its support
+    radical), anything else polarized, which keeps pd and the big height."""
+    if mono.is_squarefree:
+        return mono.support_radical()
+    return polarize(mono).target
+
+
 class _Job:
-    """Parsed input plus the square-free ideal the engines actually see."""
+    """Parsed input; the square-free ideals are built on first use."""
 
     def __init__(self, args):
         variables = args.vars.split(",") if args.vars else None
@@ -58,20 +65,23 @@ class _Job:
                 file=sys.stderr,
             )
         self.mono = self.source.ideal
-        self.polarized = not self.mono.is_squarefree
-        if self.polarized:
-            self.work = polarize(self.mono).target
-        else:
-            self.work = self.mono.to_squarefree()
         self.field = PrimeField(args.field)
+
+    @functools.cached_property
+    def radical(self) -> SquareFreeIdeal:
+        return self.mono.support_radical()
+
+    @functools.cached_property
+    def work(self) -> SquareFreeIdeal:
+        return _square_free(self.mono)
 
 
 def _names(ideal: SquareFreeIdeal, mask: int) -> list[str]:
     return [ideal.labels[v] for v in bits(mask)]
 
 
-def _subset_text(ideal: SquareFreeIdeal, mask: int) -> str:
-    return "{" + ",".join(_names(ideal, mask)) + "}"
+def _set_text(names: list[str]) -> str:
+    return "{" + ",".join(names) + "}"
 
 
 def _emit(args, text: str, payload):
@@ -81,51 +91,29 @@ def _emit(args, text: str, payload):
         print(text)
 
 
-def _scalar(args, job, value: int, key: str):
-    _emit(args, str(value), {key: value, "field": job.field.p})
+def _scalar(value):
+    """Handler of a command that prints one value of the job: the JSON key
+    is the command name with "_" for "-", the text the value in lower case."""
 
+    def handler(args):
+        job = _Job(args)
+        result = value(job)
+        key = args.command.replace("-", "_")
+        _emit(args, str(result).lower(), {key: result, "field": job.field.p})
+        return 0
 
-def cmd_pd(args):
-    job = _Job(args)
-    value = projective_dimension(job.work, job.field)
-    _scalar(args, job, value, "pd")
-    return 0
-
-
-def cmd_depth(args):
-    job = _Job(args)
-    value = depth(job.work, job.field)
-    if job.polarized:
-        # depth over the source ring: same pd, fewer variables
-        value = job.mono.n - (job.work.n - value)
-    _scalar(args, job, value, "depth")
-    return 0
-
-
-def cmd_dim(args):
-    job = _Job(args)
-    value = krull_dimension(job.mono.support_radical())
-    _scalar(args, job, value, "dim")
-    return 0
-
-
-def cmd_big_height(args):
-    job = _Job(args)
-    value = big_height(job.work)
-    _scalar(args, job, value, "big_height")
-    return 0
+    return handler
 
 
 def cmd_primes(args):
     job = _Job(args)
-    ideal = job.mono.support_radical()
-    decomposition = minimal_primes(ideal)
-    lines = [_subset_text(ideal, p) for p in decomposition.primes]
+    decomposition = minimal_primes(job.radical)
+    primes = [_names(job.radical, p) for p in decomposition.primes]
     _emit(
         args,
-        "\n".join(lines),
+        "\n".join(map(_set_text, primes)),
         {
-            "minimal_primes": [_names(ideal, p) for p in decomposition.primes],
+            "minimal_primes": primes,
             "d_min": decomposition.d_min,
             "d_max": decomposition.d_max,
         },
@@ -133,41 +121,19 @@ def cmd_primes(args):
     return 0
 
 
-def cmd_is_cm(args):
-    job = _Job(args)
-    value = is_cohen_macaulay(job.work.stanley_reisner_complex(), job.field)
-    _emit(args, str(value).lower(), {"is_cm": value, "field": job.field.p})
-    return 0
-
-
-def cmd_is_scm(args):
-    job = _Job(args)
-    value = is_sequentially_cm(job.work, job.field)
-    _emit(args, str(value).lower(), {"is_scm": value, "field": job.field.p})
-    return 0
-
-
 def cmd_betti(args):
     job = _Job(args)
     table = hochster_betti_table(job.work, job.field, cap=args.oracle_cap)
     items = sorted(table.entries.items(), key=lambda kv: (kv[0][0], sort_key(kv[0][1])))
+    entries = [[i, _names(job.work, sigma), value] for (i, sigma), value in items]
     lines = [
-        f"beta[{i}, {_subset_text(job.work, sigma)}] = {value}"
-        for (i, sigma), value in items
+        f"beta[{i}, {_set_text(names)}] = {value}" for i, names, value in entries
     ]
     lines.append(f"pd = {table.pd}")
     _emit(
         args,
         "\n".join(lines),
-        {
-            "n": table.n,
-            "field": table.field_p,
-            "pd": table.pd,
-            "entries": [
-                [i, _names(job.work, sigma), value]
-                for (i, sigma), value in items
-            ],
-        },
+        {"n": table.n, "field": table.field_p, "pd": table.pd, "entries": entries},
     )
     return 0
 
@@ -175,16 +141,11 @@ def cmd_betti(args):
 def cmd_polarize(args):
     job = _Job(args)
     target = polarize(job.mono).target
-    text = ", ".join(
-        "*".join(_names(target, g)) for g in target.gens
-    )
+    gens = [_names(target, g) for g in target.gens]
     _emit(
         args,
-        text,
-        {
-            "variables": list(target.labels),
-            "generators": [_names(target, g) for g in target.gens],
-        },
+        ", ".join(map("*".join, gens)),
+        {"variables": list(target.labels), "generators": gens},
     )
     return 0
 
@@ -216,7 +177,7 @@ def _report_text(payload) -> str:
         if key == "generators":
             value = ", ".join("*".join(g) for g in value)
         elif key == "minimal_primes":
-            value = ", ".join("{" + ",".join(p) + "}" for p in value)
+            value = ", ".join(map(_set_text, value))
         elif isinstance(value, bool):
             value = str(value).lower()
         elif value is None:
@@ -265,43 +226,29 @@ def cmd_batch(args):
     spec = _family_spec(args)
     field = PrimeField(args.field)
     writer = csv.writer(sys.stdout, lineterminator="\n")
+    columns = BATCH_HEADER.split(",")
     if not args.json:
-        writer.writerow(BATCH_HEADER.split(","))
+        writer.writerow(columns)
     for ideal in generate(spec):
-        if isinstance(ideal, MonomialIdeal):
-            work = polarize(ideal).target
-        else:
-            work = ideal
+        work = _square_free(ideal) if isinstance(ideal, MonomialIdeal) else ideal
         use_oracle = args.oracle and work.n <= args.oracle_cap
         report = verify_main_theorem(
             work, field, with_oracle=use_oracle, oracle_cap=args.oracle_cap
         )
-        row = {
-            "kind": spec.kind,
-            "seed": spec.seed,
-            "n": report.n,
-            "gens": len(work.gens),
-            "field": report.field_p,
-            "d_min": report.d_min,
-            "d_max": report.d_max,
-            "dim": report.dim,
-            "depth": report.depth,
-            "pd": report.pd,
-            "pd_oracle": report.pd_oracle,
-            "is_cm": report.is_cm,
-            "is_scm": report.is_scm,
-            "ineq_depth": report.inequality_depth_ok,
-            "ineq_pd": report.inequality_pd_ok,
-            "scm_equality": report.theorem_equality_ok,
-            "oracle_agrees": report.oracle_agrees,
-        }
+        row = (
+            spec.kind, spec.seed, report.n, len(work.gens), report.field_p,
+            report.d_min, report.d_max, report.dim, report.depth, report.pd,
+            report.pd_oracle, report.is_cm, report.is_scm,
+            report.inequality_depth_ok, report.inequality_pd_ok,
+            report.theorem_equality_ok, report.oracle_agrees,
+        )
         if args.json:
-            print(json.dumps(row))
+            print(json.dumps(dict(zip(columns, row))))
         else:
             writer.writerow(
                 [
                     "" if v is None else (str(v).lower() if isinstance(v, bool) else v)
-                    for v in row.values()
+                    for v in row
                 ]
             )
     return 0
@@ -329,14 +276,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def pd(job):
+        return projective_dimension(job.work, job.field)
+
     ideal_commands = [
-        ("pd", cmd_pd, "projective dimension of the quotient"),
-        ("depth", cmd_depth, "depth of the quotient (source ring)"),
-        ("dim", cmd_dim, "Krull dimension of the quotient"),
-        ("big-height", cmd_big_height, "largest associated-prime height"),
+        ("pd", _scalar(pd), "projective dimension of the quotient"),
+        # pd is the same over the polarized ring, which has more variables
+        ("depth", _scalar(lambda job: job.mono.n - pd(job)),
+         "depth of the quotient (source ring)"),
+        ("dim", _scalar(lambda job: krull_dimension(job.radical)),
+         "Krull dimension of the quotient"),
+        ("big-height", _scalar(lambda job: big_height(job.work)),
+         "largest associated-prime height"),
         ("primes", cmd_primes, "minimal primes as vertex covers"),
-        ("is-cm", cmd_is_cm, "Cohen-Macaulayness over GF(p)"),
-        ("is-scm", cmd_is_scm, "sequential Cohen-Macaulayness over GF(p)"),
+        ("is-cm", _scalar(lambda job: is_cohen_macaulay(
+            job.work.stanley_reisner_complex(), job.field)),
+         "Cohen-Macaulayness over GF(p)"),
+        ("is-scm", _scalar(lambda job: is_sequentially_cm(job.work, job.field)),
+         "sequential Cohen-Macaulayness over GF(p)"),
         ("betti", cmd_betti, "brute-force multigraded Betti table"),
         ("polarize", cmd_polarize, "square-free polarization"),
         ("verify", cmd_verify, "full report plus theorem checks"),

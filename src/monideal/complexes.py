@@ -89,16 +89,6 @@ class SimplicialComplex:
             _check_range(m, n)
         object.__setattr__(self, "facets", antichain_maximal(masks))
 
-    @classmethod
-    def _trusted(cls, n: int, labels: tuple[str, ...], facets: tuple[int, ...]):
-        """A complex from parts that are already valid: ``labels`` checked,
-        ``facets`` an antichain of in-range masks in (size, members) order."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "facets", facets)
-        return self
-
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
 
@@ -173,9 +163,7 @@ class SimplicialComplex:
         """Faces disjoint from ``face`` whose union with it is again a face.
 
         The facets containing ``face``, with ``face`` removed, are the link's
-        facets as they stand: they stay an antichain, and removing the same
-        vertices from two facets keeps their symmetric difference, so their
-        (size, members) order holds too.
+        facets.
         """
         m = as_mask(face)
         _check_range(m, self.n)
@@ -184,7 +172,7 @@ class SimplicialComplex:
             raise NotAFaceError(
                 f"{_format_subset(m, self.labels)} is not a face"
             )
-        return SimplicialComplex._trusted(self.n, self.labels, facets)
+        return SimplicialComplex(self.n, facets, self.labels)
 
     def restrict(self, vertices: FaceLike) -> "SimplicialComplex":
         """Induced subcomplex on a vertex subset (void stays void)."""

@@ -48,8 +48,9 @@ def minimal_vertex_covers(complex: SimplicialComplex) -> tuple[int, ...]:
 
 
 def minimal_primes(ideal: SquareFreeIdeal) -> PrimaryDecomposition:
-    """Minimal primes = minimal vertex covers of the facet complex."""
-    primes = minimal_vertex_covers(ideal.facet_complex())
+    """Minimal primes = minimal vertex covers of the facet complex, whose
+    facets are the generators."""
+    primes = minimal_transversals(ideal.gens, ideal.n)
     return PrimaryDecomposition(
         primes=primes, heights=tuple(p.bit_count() for p in primes)
     )

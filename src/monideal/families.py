@@ -272,6 +272,14 @@ class FamilySpec:
             raise BadSpecError(f"kind {self.kind!r} needs n >= {minimum}")
         if self.count < 1:
             raise BadSpecError("count must be positive")
+        # a one-vertex simplicial tree is a single 1-vertex facet; any larger
+        # one attaches facets with a shared and a fresh vertex each
+        least = {"max_gens": 1, "max_exp": 1, "max_facet": 2 if self.n >= 2 else 1}
+        for key, bound in least.items():
+            value = self.extra.get(key)
+            if value is not None and value < bound:
+                flag = "--" + key.replace("_", "-")
+                raise BadSpecError(f"{flag} must be >= {bound}, got {value}")
 
 
 def _item_rng(spec: FamilySpec, index: int) -> random.Random:

@@ -58,14 +58,6 @@ class MonomialIdeal:
     def is_squarefree(self) -> bool:
         return all(e <= 1 for vec in self.gens for e in vec)
 
-    def to_squarefree(self) -> SquareFreeIdeal:
-        if not self.is_squarefree:
-            raise ValueError("ideal has an exponent above 1")
-        masks = [
-            sum(1 << j for j, e in enumerate(vec) if e) for vec in self.gens
-        ]
-        return SquareFreeIdeal(self.n, masks, self.labels)
-
     def support_radical(self) -> SquareFreeIdeal:
         """The radical: generator supports, re-minimalized."""
         masks = [

@@ -5,6 +5,7 @@ package's clever routes (complement-of-covers, antichain tricks, shortcut
 pruning), so they can serve as independent oracles for the fast paths.
 """
 import random
+import sys
 
 import pytest
 
@@ -223,3 +224,19 @@ def rp2_complex():
 
 def masks(*vertex_sets):
     return [sum(1 << v for v in vs) for vs in vertex_sets]
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` made through any monideal module
+    that imported it; returns the list the calls are appended to."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for site_name, site in list(sys.modules.items()):
+        if site_name.startswith("monideal") and vars(site).get(name) is original:
+            monkeypatch.setattr(site, name, counted)
+    return calls

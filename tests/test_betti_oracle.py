@@ -18,8 +18,14 @@ from monideal import (
     pd_oracle,
     reduced_betti_numbers,
 )
-from monideal import homology
-from conftest import masks, random_ideal, reference_betti_table, rp2_complex
+from monideal import bitsets, homology
+from conftest import (
+    count_calls,
+    masks,
+    random_ideal,
+    reference_betti_table,
+    rp2_complex,
+)
 
 
 def on_lcm_lattice(ideal, sigma):
@@ -171,3 +177,11 @@ def test_oracle_runs_the_chain_check_once_per_lattice_degree(monkeypatch, gf3):
     before = homology.CHAIN_CHECKS
     hochster_betti_table(ideal, gf3)
     assert homology.CHAIN_CHECKS - before == len(lattice) > 0
+
+
+def test_oracle_enumerates_no_covers(monkeypatch, gf2):
+    """The oracle lists the Stanley-Reisner faces in its own sweep, so it
+    shares no cover enumeration with the routes it checks."""
+    calls = count_calls(monkeypatch, bitsets, "minimal_transversals")
+    table = hochster_betti_table(edge_ideal(cycle_graph(5)), gf2)
+    assert table.pd == 3 and calls == []

@@ -1,13 +1,13 @@
 import io
 import json
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from monideal import SquareFreeIdeal, verify_main_theorem, PrimeField
-from monideal import bitsets
+from monideal import bitsets, polarization
 from monideal.cli import build_parser, main
+from conftest import count_calls
 
 
 def run_cli(*argv):
@@ -174,22 +174,11 @@ def test_batch_json_lines():
     assert row["scm_equality"] is True
 
 
-@pytest.mark.parametrize("flags, enumerations", [((), 1), (("--oracle",), 2)])
+@pytest.mark.parametrize("flags, enumerations", [((), 1), (("--oracle",), 1)])
 def test_verify_enumerates_covers_once(monkeypatch, flags, enumerations):
     """verify reads the primes and the Stanley-Reisner complex off one cover
-    enumeration; the oracle keeps its own complex, so it adds exactly one."""
-    original = bitsets.minimal_transversals
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("monideal") and vars(module).get(
-            "minimal_transversals"
-        ) is original:
-            monkeypatch.setattr(module, "minimal_transversals", counted)
+    enumeration; the oracle lists its faces itself and enumerates none."""
+    calls = count_calls(monkeypatch, bitsets, "minimal_transversals")
     code, out, _ = run_cli("verify", "x1*x2,x2*x3,x3*x4,x1*x4", *flags)
     assert code == 0 and "minimal_primes: {x1,x3}, {x2,x4}" in out
     assert len(calls) == enumerations
@@ -216,3 +205,30 @@ def test_parser_reuse_matches_fresh_parser():
     assert [code for code, _ in reused] == [0, 2, 0, 0, 0]
     assert json.loads(reused[0][1])["pd_oracle"] == 2
     assert json.loads(reused[2][1])["pd_oracle"] is None
+
+
+@pytest.mark.parametrize(
+    "command, expected", [("primes", "{x}\n"), ("dim", "1\n")], ids=["primes", "dim"]
+)
+def test_radical_commands_do_not_polarize(monkeypatch, command, expected):
+    """primes and dim read the radical, so a non-square-free input is never
+    polarized for them."""
+    calls = count_calls(monkeypatch, polarization, "polarize")
+    assert run_cli(command, "x^2, x*y") == (0, expected, "")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("random_squarefree", "--n", "5", "--max-gens", "0"), "--max-gens"),
+        (("random_squarefree", "--n", "5", "--max-gens", "-1"), "--max-gens"),
+        (("random_monomial", "--n", "4", "--max-exp", "0"), "--max-exp"),
+        (("simplicial_tree", "--n", "6", "--max-facet", "0"), "--max-facet"),
+        (("simplicial_tree", "--n", "6", "--max-facet", "1"), "--max-facet"),
+    ],
+)
+def test_family_extras_out_of_range_exit_2(argv, flag):
+    code, out, err = run_cli("gen", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} must be >= ")

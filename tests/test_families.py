@@ -165,6 +165,33 @@ def test_family_spec_validation():
         FamilySpec(kind="tree", n=4, count=0)
 
 
+@pytest.mark.parametrize(
+    "kind, n, extra",
+    [
+        ("random_squarefree", 5, {"max_gens": 0}),
+        ("random_squarefree", 5, {"max_gens": -1}),
+        ("random_monomial", 4, {"max_gens": 0}),
+        ("random_monomial", 4, {"max_exp": 0}),
+        ("simplicial_tree", 6, {"max_facet": 0}),
+        ("simplicial_tree", 6, {"max_facet": 1}),
+        ("simplicial_tree", 1, {"max_facet": 0}),
+    ],
+)
+def test_family_spec_rejects_out_of_range_extras(kind, n, extra):
+    """An extra below its least usable value is refused up front, naming
+    its flag, instead of silently replaced or failing inside the sampler."""
+    (key,) = extra
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(BadSpecError, match=f"^{flag} must be >= "):
+        FamilySpec(kind=kind, n=n, extra=extra)
+
+
+def test_family_spec_accepts_least_extras():
+    assert generate(FamilySpec("simplicial_tree", 6, extra={"max_facet": 2}))
+    assert generate(FamilySpec("simplicial_tree", 1, extra={"max_facet": 1}))
+    assert generate(FamilySpec("random_monomial", 4, extra={"max_gens": 1, "max_exp": 1}))
+
+
 def test_generate_cycle_exact():
     ideals = generate(FamilySpec(kind="cycle", n=4))
     assert ideals == [edge_ideal(cycle_graph(4))]

