@@ -36,20 +36,12 @@ from .invariants import (
     verify_main_theorem,
 )
 from .parsing import IdealSource
-from .polarization import MonomialIdeal, polarize
+from .polarization import MonomialIdeal, _square_free, polarize
 
 BATCH_HEADER = (
     "kind,seed,n,gens,field,d_min,d_max,dim,depth,pd,pd_oracle,"
     "is_cm,is_scm,ineq_depth,ineq_pd,scm_equality,oracle_agrees"
 )
-
-
-def _square_free(mono: MonomialIdeal) -> SquareFreeIdeal:
-    """The ideal the engines see: a square-free input as it is (its support
-    radical), anything else polarized, which keeps pd and the big height."""
-    if mono.is_squarefree:
-        return mono.support_radical()
-    return polarize(mono).target
 
 
 class _Job:

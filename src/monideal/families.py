@@ -157,6 +157,7 @@ def random_simplicial_tree(
     """
     if n < 1:
         raise BadSpecError("simplicial tree needs n >= 1")
+    _at_least("max_facet", max_facet, _least_facet(n))
     for _ in range(8):
         child = random.Random(rng.getrandbits(64))
         complex = _grow_by_leaf_attachment(n, child, max_facet, private_only=False)
@@ -168,9 +169,10 @@ def random_simplicial_tree(
 
 def _grow_by_leaf_attachment(n, rng, max_facet, private_only):
     """Attach facets one at a time, each meeting the complex inside one
-    existing facet.  With ``private_only`` the shared vertices come from the
-    parent's private part, so every facet meets its parent and nothing else;
-    any subcollection then has a leaf (take a facet of maximal tree depth)."""
+    existing facet and holding at most ``max_facet`` vertices.  With
+    ``private_only`` the shared vertices come from the parent's private part,
+    so every facet meets its parent and nothing else; any subcollection then
+    has a leaf (take a facet of maximal tree depth)."""
     first = rng.randint(1, min(max_facet, n))
     facets = [as_mask(range(first))]
     used = first
@@ -189,8 +191,10 @@ def _grow_by_leaf_attachment(n, rng, max_facet, private_only):
         else:
             pool = facets[rng.randrange(len(facets))]
         pool_verts = list(bits(pool))
-        shared = rng.sample(pool_verts, rng.randint(1, len(pool_verts)))
-        fresh_count = rng.randint(1, min(max_facet - 1, n - used))
+        shared = rng.sample(
+            pool_verts, rng.randint(1, min(len(pool_verts), max_facet - 1))
+        )
+        fresh_count = rng.randint(1, min(max_facet - len(shared), n - used))
         fresh = range(used, used + fresh_count)
         facets.append(as_mask(list(shared) + list(fresh)))
         used += fresh_count
@@ -217,13 +221,26 @@ def tree_paths(tree: Graph, t: int) -> list[int]:
     return sorted(found)
 
 
+def _at_least(name: str, value: int, bound: int):
+    if value < bound:
+        raise BadSpecError(f"{name} must be >= {bound}, got {value}")
+
+
+def _least_facet(n: int) -> int:
+    # a one-vertex simplicial tree is a single 1-vertex facet; any larger
+    # one attaches facets with a shared and a fresh vertex each
+    return 2 if n >= 2 else 1
+
+
 def random_squarefree_ideal(
     n: int, rng: random.Random, max_gens: int | None = None
 ) -> SquareFreeIdeal:
     """Random antichain of supports; never zero or unit."""
     if n < 1:
         raise BadSpecError("need n >= 1")
-    max_gens = max_gens or max(2, n)
+    if max_gens is None:
+        max_gens = max(2, n)
+    _at_least("max_gens", max_gens, 1)
     count = rng.randint(1, max_gens)
     gens = []
     for _ in range(count):
@@ -241,7 +258,9 @@ def random_monomial_ideal(
     """Random bounded exponent vectors, minimalized at construction."""
     if n < 1 or max_exp < 1:
         raise BadSpecError("need n >= 1 and max_exp >= 1")
-    max_gens = max_gens or max(2, n)
+    if max_gens is None:
+        max_gens = max(2, n)
+    _at_least("max_gens", max_gens, 1)
     count = rng.randint(1, max_gens)
     gens = []
     for _ in range(count):
@@ -272,14 +291,11 @@ class FamilySpec:
             raise BadSpecError(f"kind {self.kind!r} needs n >= {minimum}")
         if self.count < 1:
             raise BadSpecError("count must be positive")
-        # a one-vertex simplicial tree is a single 1-vertex facet; any larger
-        # one attaches facets with a shared and a fresh vertex each
-        least = {"max_gens": 1, "max_exp": 1, "max_facet": 2 if self.n >= 2 else 1}
+        least = {"max_gens": 1, "max_exp": 1, "max_facet": _least_facet(self.n)}
         for key, bound in least.items():
             value = self.extra.get(key)
-            if value is not None and value < bound:
-                flag = "--" + key.replace("_", "-")
-                raise BadSpecError(f"{flag} must be >= {bound}, got {value}")
+            if value is not None:
+                _at_least("--" + key.replace("_", "-"), value, bound)
 
 
 def _item_rng(spec: FamilySpec, index: int) -> random.Random:

@@ -163,19 +163,27 @@ def polarize(ideal: MonomialIdeal) -> PolarizationMap:
     return PolarizationMap(source=ideal, target=target, copies=copies)
 
 
+def _square_free(ideal: MonomialIdeal) -> SquareFreeIdeal:
+    """The ideal the engines see: a square-free input as it is (its support
+    radical), anything else polarized, which keeps pd and the big height."""
+    if ideal.is_squarefree:
+        return ideal.support_radical()
+    return polarize(ideal).target
+
+
 def big_height_general(ideal: MonomialIdeal) -> int:
-    """Largest height of an associated prime, via the polarization."""
+    """Largest height of an associated prime, via ``_square_free``."""
     from .covers import big_height
 
-    return big_height(polarize(ideal).target)
+    return big_height(_square_free(ideal))
 
 
 def pd_general(ideal: MonomialIdeal, field: PrimeField) -> int:
-    """Projective dimension of the quotient, via the polarization.
+    """Projective dimension of the quotient, via ``_square_free``.
 
-    Computed over the larger polarized ring; the value equals the projective
+    A polarized ideal lives in a larger ring; the value equals the projective
     dimension over the source ring.
     """
     from .invariants import projective_dimension
 
-    return projective_dimension(polarize(ideal).target, field)
+    return projective_dimension(_square_free(ideal), field)

@@ -23,9 +23,12 @@ from monideal.families import (
     complete_graph,
     random_chordal,
     random_forest,
+    random_monomial_ideal,
     random_simplicial_tree,
+    random_squarefree_ideal,
     tree_paths,
 )
+from monideal.bitsets import bits
 from conftest import masks
 
 
@@ -143,6 +146,40 @@ def test_simplicial_tree_generator_validated_by_checker(seed):
     complex = random_simplicial_tree(n, rng)
     assert complex.n == n
     assert is_simplicial_forest(complex)
+
+
+@pytest.mark.parametrize("max_facet", [2, 3, 4])
+@pytest.mark.parametrize("n", [6, 10, 14])
+def test_simplicial_tree_facets_respect_max_facet(n, max_facet):
+    for seed in range(20):
+        complex = random_simplicial_tree(n, random.Random(seed), max_facet)
+        assert max(f.bit_count() for f in complex.facets) <= max_facet
+        assert is_simplicial_forest(complex)
+        if max_facet == 2:
+            # every new facet is one shared and one fresh vertex: a tree
+            graph = Graph(n, [tuple(bits(f)) for f in complex.facets])
+            assert len(graph.edges) == n - 1
+            assert connected(graph)
+
+
+@pytest.mark.parametrize(
+    "sampler, n, kwargs",
+    [
+        (random_squarefree_ideal, 5, {"max_gens": 0}),
+        (random_squarefree_ideal, 5, {"max_gens": -1}),
+        (random_monomial_ideal, 5, {"max_gens": 0}),
+        (random_monomial_ideal, 5, {"max_gens": -1}),
+        (random_simplicial_tree, 5, {"max_facet": 1}),
+        (random_simplicial_tree, 1, {"max_facet": 0}),
+    ],
+)
+def test_samplers_reject_out_of_range_bounds(sampler, n, kwargs):
+    """Called directly, a sampler refuses a bound below its least usable
+    value, naming the parameter, instead of replacing it or failing inside
+    ``randrange``."""
+    (key,) = kwargs
+    with pytest.raises(BadSpecError, match=f"^{key} must be >= "):
+        sampler(n, random.Random(1), **kwargs)
 
 
 def test_tree_paths():

@@ -7,12 +7,16 @@ from monideal import (
     PrimeField,
     SquareFreeIdeal,
     ZeroOrUnitIdealError,
+    big_height,
     big_height_general,
     depth_oracle,
     pd_general,
     polarize,
+    projective_dimension,
 )
+from monideal import polarization
 from monideal.families import random_monomial_ideal
+from conftest import count_calls, random_ideal
 
 
 def test_monomial_ideal_minimalizes():
@@ -107,6 +111,24 @@ def test_pd_general_examples(gf2):
     assert pd_general(MonomialIdeal(2, [(2, 0), (1, 1)]), gf2) == 2
     assert pd_general(MonomialIdeal(1, [(2,)]), gf2) == 1
     assert pd_general(MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), gf2) == 3
+
+
+def test_square_free_input_is_not_polarized(monkeypatch, gf2):
+    """A square-free MonomialIdeal reaches the engines as it is, as in the
+    CLI; polarizing it would only relabel it."""
+    rng = random.Random(5)
+    ideals = [
+        MonomialIdeal.from_squarefree(random_ideal(rng, rng.randint(2, 7)))
+        for _ in range(10)
+    ]
+    expected = [(pd_general(i, gf2), big_height_general(i)) for i in ideals]
+    assert expected == [
+        (projective_dimension(polarize(i).target, gf2), big_height(polarize(i).target))
+        for i in ideals
+    ]
+    calls = count_calls(monkeypatch, polarization, "polarize")
+    assert [(pd_general(i, gf2), big_height_general(i)) for i in ideals] == expected
+    assert calls == []
 
 
 def test_squarefree_round_trip():
