@@ -4,14 +4,13 @@ combinatorics over finite prime fields, with an independent brute-force
 Betti-number oracle for cross-validation.
 """
 
-from .betti import BettiTable, depth_oracle, hochster_betti_table, pd_oracle
+from .betti import BettiTable, hochster_betti_table, pd_oracle
 from .complexes import SimplicialComplex, SquareFreeIdeal
 from .covers import (
     PrimaryDecomposition,
     big_height,
     krull_dimension,
     minimal_primes,
-    minimal_vertex_covers,
 )
 from .errors import (
     BadSpecError,
@@ -40,9 +39,7 @@ from .families import (
 )
 from .homology import (
     PrimeField,
-    boundary_matrix,
     is_cohen_macaulay,
-    rank_mod_p,
     reduced_betti_numbers,
 )
 from .invariants import (
@@ -77,11 +74,9 @@ __all__ = [
     "VerificationReport",
     "big_height",
     "big_height_general",
-    "boundary_matrix",
     "complete_graph",
     "cycle_graph",
     "depth",
-    "depth_oracle",
     "edge_ideal",
     "generate",
     "hochster_betti_table",
@@ -90,7 +85,6 @@ __all__ = [
     "is_simplicial_forest",
     "krull_dimension",
     "minimal_primes",
-    "minimal_vertex_covers",
     "parse_ideal",
     "path_graph",
     "pd_general",
@@ -98,7 +92,6 @@ __all__ = [
     "polarize",
     "projective_dimension",
     "pruefer_tree",
-    "rank_mod_p",
     "reduced_betti_numbers",
     "verify_main_theorem",
     # errors

@@ -94,9 +94,3 @@ def pd_oracle(
     """Projective dimension read off the full Betti table."""
     return hochster_betti_table(ideal, field, cap=cap).pd
 
-
-def depth_oracle(
-    ideal: SquareFreeIdeal, field: PrimeField, cap: int = DEFAULT_CAP
-) -> int:
-    """n - pd, with pd taken from the brute-force table."""
-    return ideal.n - pd_oracle(ideal, field, cap=cap)

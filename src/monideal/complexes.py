@@ -2,13 +2,15 @@
 correspondences between them (facet complex/ideal, Stanley-Reisner
 complex/ideal), plus skeletons, links and restrictions.
 
-Both container classes are immutable: every operation returns a fresh value.
+Both container classes are frozen dataclasses: every operation returns a
+fresh value, and a value pickles and copies to an equal one.
 A complex always carries its full vertex universe; vertices lying in no facet
 are legal and matter for the ring-theoretic counts downstream.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .bitsets import (
     antichain_maximal,
@@ -70,6 +72,7 @@ def _faces_by_dim(facets: Iterable[int]) -> dict[int, list[int]]:
     return dict(sorted(grouped.items()))
 
 
+@dataclass(frozen=True, slots=True)
 class SimplicialComplex:
     """A simplicial complex given by its facet antichain.
 
@@ -79,7 +82,9 @@ class SimplicialComplex:
     absorbed.
     """
 
-    __slots__ = ("n", "labels", "facets")
+    n: int
+    labels: tuple[str, ...]
+    facets: tuple[int, ...]
 
     def __init__(self, n: int, facets: Iterable[FaceLike], labels=None):
         object.__setattr__(self, "n", n)
@@ -88,9 +93,6 @@ class SimplicialComplex:
         for m in masks:
             _check_range(m, n)
         object.__setattr__(self, "facets", antichain_maximal(masks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplicialComplex is immutable")
 
     @classmethod
     def void(cls, n: int, labels=None) -> "SimplicialComplex":
@@ -214,23 +216,13 @@ class SimplicialComplex:
             "<" + ", ".join(_format_subset(m, self.labels) for m in masks) + ">"
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.n == other.n
-            and self.labels == other.labels
-            and self.facets == other.facets
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.labels, self.facets))
-
     def __repr__(self):
         if self.is_void:
             return f"SimplicialComplex.void({self.n})"
         return f"SimplicialComplex(n={self.n}, facets={self.format_faces(self.facets)})"
 
 
+@dataclass(frozen=True, slots=True)
 class SquareFreeIdeal:
     """A square-free monomial ideal stored as its minimal generator supports.
 
@@ -239,7 +231,9 @@ class SquareFreeIdeal:
     rejected: the theorems downstream presume a nonzero proper ideal.
     """
 
-    __slots__ = ("n", "labels", "gens")
+    n: int
+    labels: tuple[str, ...]
+    gens: tuple[int, ...]
 
     def __init__(self, n: int, gens: Iterable[FaceLike], labels=None):
         object.__setattr__(self, "n", n)
@@ -253,9 +247,6 @@ class SquareFreeIdeal:
         if reduced[0] == 0:
             raise ZeroOrUnitIdealError("the unit ideal is not representable")
         object.__setattr__(self, "gens", reduced)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SquareFreeIdeal is immutable")
 
     def facet_complex(self) -> SimplicialComplex:
         """Complex whose facets are the generator supports."""
@@ -276,17 +267,6 @@ class SquareFreeIdeal:
         return tuple(
             "*".join(self.labels[v] for v in bits(g)) for g in self.gens
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SquareFreeIdeal)
-            and self.n == other.n
-            and self.labels == other.labels
-            and self.gens == other.gens
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.labels, self.gens))
 
     def __repr__(self):
         gens = ", ".join(self.generator_monomials())

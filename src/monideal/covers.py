@@ -1,4 +1,4 @@
-"""Minimal vertex covers of facet complexes and the prime data they encode.
+"""Minimal primes of square-free ideals and the prime data they encode.
 
 For a square-free ideal the minimal primes are generated by exactly the
 minimal vertex covers of its facet complex; heights are cover sizes.  The big
@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import minimal_transversals
-from .complexes import SimplicialComplex, SquareFreeIdeal
-from .errors import VoidOrIrrelevantError
+from .complexes import SquareFreeIdeal
 
 
 @dataclass(frozen=True)
@@ -28,23 +27,6 @@ class PrimaryDecomposition:
     @property
     def d_max(self) -> int:
         return max(self.heights)
-
-    @property
-    def distinct_heights(self) -> tuple[int, ...]:
-        """The strictly increasing d_1 < ... < d_s."""
-        return tuple(sorted(set(self.heights)))
-
-
-def minimal_vertex_covers(complex: SimplicialComplex) -> tuple[int, ...]:
-    """All inclusion-minimal vertex sets meeting every facet.
-
-    Output is complete and sorted by (size, members) for reproducibility.
-    """
-    if complex.is_void or complex.is_irrelevant:
-        raise VoidOrIrrelevantError(
-            "vertex covers need at least one nonempty facet"
-        )
-    return minimal_transversals(complex.facets, complex.n)
 
 
 def minimal_primes(ideal: SquareFreeIdeal) -> PrimaryDecomposition:

@@ -29,6 +29,9 @@ KINDS = (
     "random_monomial",
 )
 
+# is_simplicial_forest visits every facet subset, so it refuses more facets
+_FOREST_CAP = 20
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -151,17 +154,22 @@ def random_simplicial_tree(
     Each new facet meets the old complex inside a single existing facet.
     That alone does not make every subcollection keep a leaf (dropping a hub
     facet can strand its neighbors), so candidates are validated with
-    ``is_simplicial_forest`` and resampled; after a few misses the attachment
+    ``is_simplicial_forest`` and resampled; after a few misses, or at once
+    when every growth has more facets than the checker takes, the attachment
     falls back to sharing only parent-private vertices, which forces every
     facet to meet its parent alone and is a forest unconditionally.
     """
     if n < 1:
         raise BadSpecError("simplicial tree needs n >= 1")
     _at_least("max_facet", max_facet, _least_facet(n))
-    for _ in range(8):
+    # a growth is connected and its facets hold at most max_facet vertices,
+    # so after the first each adds at most max_facet - 1: when even the
+    # fewest facets exceed the checker's cap, no candidate can be checked
+    fewest = 1 if n <= max_facet else 1 + -(-(n - max_facet) // (max_facet - 1))
+    for _ in range(8 if fewest <= _FOREST_CAP else 0):
         child = random.Random(rng.getrandbits(64))
         complex = _grow_by_leaf_attachment(n, child, max_facet, private_only=False)
-        if len(complex.facets) <= 20 and is_simplicial_forest(complex):
+        if len(complex.facets) <= _FOREST_CAP and is_simplicial_forest(complex):
             return complex
     child = random.Random(rng.getrandbits(64))
     return _grow_by_leaf_attachment(n, child, max_facet, private_only=True)
@@ -359,7 +367,7 @@ def generate(spec: FamilySpec):
     return out
 
 
-def is_simplicial_forest(complex: SimplicialComplex, cap: int = 20) -> bool:
+def is_simplicial_forest(complex: SimplicialComplex) -> bool:
     """True iff every nonempty subcollection of facets has a leaf.
 
     A leaf of a collection is a facet F whose intersection with the union of
@@ -370,8 +378,10 @@ def is_simplicial_forest(complex: SimplicialComplex, cap: int = 20) -> bool:
         raise ValueError("simplicial forests need at least one nonempty facet")
     facets = complex.facets
     q = len(facets)
-    if q > cap:
-        raise TooManyFacetsError(f"{q} facets; exhaustive check capped at {cap}")
+    if q > _FOREST_CAP:
+        raise TooManyFacetsError(
+            f"{q} facets; exhaustive check capped at {_FOREST_CAP}"
+        )
     for picks in range(1, 1 << q):
         chosen = [facets[i] for i in bits(picks)]
         if len(chosen) == 1:

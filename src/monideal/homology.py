@@ -99,16 +99,6 @@ def _rank_modp(rows: Iterable[dict[int, int]], p: int) -> int:
     return len(pivots)
 
 
-def rank_mod_p(matrix, field: PrimeField) -> int:
-    """Rank over GF(p) of a dense matrix (any sequence of rows of ints)."""
-    p = field.p
-    if p == 2:
-        return _rank_gf2(
-            sum(1 << j for j, x in enumerate(r) if int(x) % 2) for r in matrix
-        )
-    return _rank_modp(({j: int(x) for j, x in enumerate(r)} for r in matrix), p)
-
-
 def _boundary_columns(
     cols: list[int], rows: list[int], p: int
 ) -> list[dict[int, int]]:
@@ -125,29 +115,6 @@ def _boundary_columns(
         }
         for face in cols
     ]
-
-
-def boundary_matrix(
-    complex: SimplicialComplex, i: int, field: PrimeField
-) -> list[list[int]]:
-    """The i-th boundary map mod p, as a list of rows.
-
-    Rows are the (i-1)-faces, columns the i-faces, both in increasing int
-    order as ``faces_by_dim`` lists them; the entry for dropping vertex v
-    from face F is (-1)^(position of v in sorted F), reduced mod p.  i = 0
-    maps vertices to the empty face.
-    """
-    by_dim = complex.faces_by_dim()
-    if not by_dim:
-        raise VoidComplexError("void complex has no boundary maps")
-    if not 0 <= i <= complex.dim:
-        raise ValueError(f"boundary index {i} outside [0, dim]")
-    rows, cols = by_dim[i - 1], by_dim[i]
-    matrix = [[0] * len(cols) for _ in rows]
-    for j, column in enumerate(_boundary_columns(cols, rows, field.p)):
-        for k, x in column.items():
-            matrix[k][j] = x
-    return matrix
 
 
 def _boundary_rank(cols: list[int], rows: list[int], p: int) -> int:

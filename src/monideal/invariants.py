@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .betti import DEFAULT_CAP, pd_oracle
 from .complexes import SimplicialComplex, SquareFreeIdeal
 from .covers import minimal_primes
 from .homology import PrimeField, _link_walk
@@ -68,7 +69,7 @@ def verify_main_theorem(
     ideal: SquareFreeIdeal,
     field: PrimeField,
     with_oracle: bool = False,
-    oracle_cap: int = 20,
+    oracle_cap: int = DEFAULT_CAP,
 ) -> VerificationReport:
     """Compute every invariant of one ideal and check the theorem on it.
 
@@ -85,13 +86,11 @@ def verify_main_theorem(
     delta = SimplicialComplex(n, (full ^ c for c in primes.primes), ideal.labels)
     dep, scm = _link_walk(delta, field)
     pd = n - dep
-    pd_oracle = None
+    oracle = None
     agrees = None
     if with_oracle:
-        from .betti import pd_oracle as oracle_pd
-
-        pd_oracle = oracle_pd(ideal, field, cap=oracle_cap)
-        agrees = pd_oracle == pd
+        oracle = pd_oracle(ideal, field, cap=oracle_cap)
+        agrees = oracle == pd
     return VerificationReport(
         n=n,
         d_min=primes.d_min,
@@ -106,6 +105,6 @@ def verify_main_theorem(
         inequality_depth_ok=dep <= n - primes.d_max,
         inequality_pd_ok=pd >= primes.d_max,
         theorem_equality_ok=(not scm) or pd == primes.d_max,
-        pd_oracle=pd_oracle,
+        pd_oracle=oracle,
         oracle_agrees=agrees,
     )

@@ -13,10 +13,13 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .complexes import SquareFreeIdeal, _check_universe
+from .covers import big_height
 from .errors import ZeroOrUnitIdealError
 from .homology import PrimeField
+from .invariants import projective_dimension
 
 
+@dataclass(frozen=True, slots=True)
 class MonomialIdeal:
     """A monomial ideal given by a minimal list of exponent vectors.
 
@@ -24,7 +27,9 @@ class MonomialIdeal:
     (componentwise <=); zero and unit ideals are rejected.
     """
 
-    __slots__ = ("n", "labels", "gens")
+    n: int
+    labels: tuple[str, ...]
+    gens: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, gens: Iterable[Iterable[int]], labels=None):
         object.__setattr__(self, "n", n)
@@ -42,9 +47,6 @@ class MonomialIdeal:
         if any(all(e == 0 for e in vec) for vec in vectors):
             raise ZeroOrUnitIdealError("the unit ideal is not representable")
         object.__setattr__(self, "gens", _minimalize(vectors))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialIdeal is immutable")
 
     @classmethod
     def from_squarefree(cls, ideal: SquareFreeIdeal) -> "MonomialIdeal":
@@ -76,17 +78,6 @@ class MonomialIdeal:
                     factors.append(f"{label}^{e}")
             out.append("*".join(factors))
         return tuple(out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialIdeal)
-            and self.n == other.n
-            and self.labels == other.labels
-            and self.gens == other.gens
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.labels, self.gens))
 
     def __repr__(self):
         gens = ", ".join(self.generator_monomials())
@@ -124,12 +115,6 @@ class PolarizationMap:
     source: MonomialIdeal
     target: SquareFreeIdeal
     copies: tuple[int, ...]
-
-    def target_index(self, j: int, t: int) -> int:
-        """Index in the target ring of the t-th copy (1-based) of x_j."""
-        if not 1 <= t <= self.copies[j]:
-            raise ValueError(f"variable {j} has no copy {t}")
-        return sum(self.copies[:j]) + t - 1
 
 
 def polarize(ideal: MonomialIdeal) -> PolarizationMap:
@@ -173,8 +158,6 @@ def _square_free(ideal: MonomialIdeal) -> SquareFreeIdeal:
 
 def big_height_general(ideal: MonomialIdeal) -> int:
     """Largest height of an associated prime, via ``_square_free``."""
-    from .covers import big_height
-
     return big_height(_square_free(ideal))
 
 
@@ -184,6 +167,4 @@ def pd_general(ideal: MonomialIdeal, field: PrimeField) -> int:
     A polarized ideal lives in a larger ring; the value equals the projective
     dimension over the source ring.
     """
-    from .invariants import projective_dimension
-
     return projective_dimension(_square_free(ideal), field)

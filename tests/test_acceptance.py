@@ -291,8 +291,8 @@ def test_criterion_7_field_dependence_regression():
         and cm3 is True
         and d2 == 2
         and d3 == 3
-        and m.depth_oracle(ideal, gf2) == d2
-        and m.depth_oracle(ideal, gf3) == d3
+        and ideal.n - m.pd_oracle(ideal, gf2) == d2
+        and ideal.n - m.pd_oracle(ideal, gf3) == d3
     )
     stable = 0
     family = tree_corpus() + chordal_corpus()

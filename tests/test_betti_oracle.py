@@ -11,7 +11,6 @@ from monideal import (
     TooLargeError,
     cycle_graph,
     depth,
-    depth_oracle,
     edge_ideal,
     hochster_betti_table,
     path_graph,
@@ -79,8 +78,9 @@ def test_pd_depth_oracle_examples(gf2):
     assert pd_oracle(edge_ideal(path_graph(4)), gf2) == 2
     assert pd_oracle(SquareFreeIdeal(1, [1]), gf2) == 1
     assert pd_oracle(edge_ideal(cycle_graph(5)), gf2) == 3
-    assert depth_oracle(edge_ideal(cycle_graph(4)), gf2) == 1
-    assert depth_oracle(SquareFreeIdeal(3, [0b111]), gf2) == 2
+    c4, simplex = edge_ideal(cycle_graph(4)), SquareFreeIdeal(3, [0b111])
+    assert c4.n - pd_oracle(c4, gf2) == 1
+    assert simplex.n - pd_oracle(simplex, gf2) == 2
 
 
 def test_cap_enforced(gf2):

@@ -1,9 +1,13 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from monideal import (
     FullSimplexError,
+    IdealSource,
+    MonomialIdeal,
     NotAFaceError,
     OutOfRangeError,
     SimplicialComplex,
@@ -11,6 +15,7 @@ from monideal import (
     VoidComplexError,
     VoidOrIrrelevantError,
     ZeroOrUnitIdealError,
+    polarize,
 )
 from conftest import (
     brute_faces,
@@ -65,10 +70,28 @@ class TestConstruction:
         with pytest.raises(ZeroOrUnitIdealError):
             SquareFreeIdeal(3, masks({0, 1}, set()))
 
-    def test_immutability(self):
-        c = SimplicialComplex(2, [1])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            SimplicialComplex(2, [1]),
+            SquareFreeIdeal(3, masks({0, 1}, {1, 2}), labels=("a", "b", "c")),
+            MonomialIdeal(2, [(2, 0), (1, 1)]),
+            polarize(MonomialIdeal(2, [(2, 0), (1, 1)])),
+            IdealSource.from_text("x^2*y, y^3"),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_immutability(self, value):
+        """Values cannot be changed, and survive pickle and copies equal,
+        with equal hashes, so they can cross process boundaries."""
+        for clone in (
+            pickle.loads(pickle.dumps(value)),
+            copy.copy(value),
+            copy.deepcopy(value),
+        ):
+            assert clone == value and hash(clone) == hash(value)
         with pytest.raises(AttributeError):
-            c.n = 5
+            value.n = 5
 
 
 class TestCorrespondences:

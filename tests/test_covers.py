@@ -3,33 +3,23 @@ import random
 import pytest
 
 from monideal import (
-    SimplicialComplex,
     SquareFreeIdeal,
-    VoidOrIrrelevantError,
     big_height,
     krull_dimension,
     minimal_primes,
-    minimal_vertex_covers,
 )
 from monideal.bitsets import bits
 from conftest import brute_minimal_covers, masks, random_ideal
 
 
 def test_cover_examples():
-    p4 = SimplicialComplex(4, masks({0, 1}, {1, 2}, {2, 3}))
-    assert set(minimal_vertex_covers(p4)) == set(
+    p4 = SquareFreeIdeal(4, masks({0, 1}, {1, 2}, {2, 3}))
+    assert set(minimal_primes(p4).primes) == set(
         masks({1, 2}, {1, 3}, {0, 2})
     )
-    c4 = SimplicialComplex(4, masks({0, 1}, {1, 2}, {2, 3}, {0, 3}))
-    assert set(minimal_vertex_covers(c4)) == set(masks({0, 2}, {1, 3}))
-    assert minimal_vertex_covers(SimplicialComplex(1, [1])) == (1,)
-
-
-def test_cover_errors():
-    with pytest.raises(VoidOrIrrelevantError):
-        minimal_vertex_covers(SimplicialComplex.void(2))
-    with pytest.raises(VoidOrIrrelevantError):
-        minimal_vertex_covers(SimplicialComplex.irrelevant(2))
+    c4 = SquareFreeIdeal(4, masks({0, 1}, {1, 2}, {2, 3}, {0, 3}))
+    assert set(minimal_primes(c4).primes) == set(masks({0, 2}, {1, 3}))
+    assert minimal_primes(SquareFreeIdeal(1, [1])).primes == (1,)
 
 
 def test_minimal_primes_examples():
@@ -47,7 +37,6 @@ def test_minimal_primes_examples():
     decomposition = minimal_primes(mixed)
     assert set(decomposition.primes) == set(masks({0}, {1, 2}))
     assert decomposition.d_min == 1 and decomposition.d_max == 2
-    assert decomposition.distinct_heights == (1, 2)
 
 
 def test_big_height_examples():
@@ -71,9 +60,8 @@ def test_covers_against_bruteforce(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 10)
     ideal = random_ideal(rng, n)
-    complex = ideal.facet_complex()
-    assert list(minimal_vertex_covers(complex)) == brute_minimal_covers(
-        complex.facets, n
+    assert list(minimal_primes(ideal).primes) == brute_minimal_covers(
+        ideal.gens, n
     )
 
 
@@ -99,9 +87,8 @@ def test_every_cover_is_checked(seed):
     rng = random.Random(2000 + seed)
     n = rng.randint(2, 9)
     ideal = random_ideal(rng, n)
-    complex = ideal.facet_complex()
-    for cover in minimal_vertex_covers(complex):
-        assert all(cover & f for f in complex.facets)
+    for cover in minimal_primes(ideal).primes:
+        assert all(cover & g for g in ideal.gens)
         for v in bits(cover):
             rest = cover ^ (1 << v)
-            assert any(not rest & f for f in complex.facets)
+            assert any(not rest & g for g in ideal.gens)

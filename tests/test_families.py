@@ -28,8 +28,9 @@ from monideal.families import (
     random_squarefree_ideal,
     tree_paths,
 )
+from monideal import families
 from monideal.bitsets import bits
-from conftest import masks
+from conftest import count_calls, masks
 
 
 def test_graph_validation():
@@ -136,7 +137,7 @@ def test_is_simplicial_forest_cap():
         22, [(1 << 21) | (1 << i) for i in range(21)]
     ).facet_complex()
     with pytest.raises(TooManyFacetsError):
-        is_simplicial_forest(star, cap=20)
+        is_simplicial_forest(star)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -160,6 +161,15 @@ def test_simplicial_tree_facets_respect_max_facet(n, max_facet):
             graph = Graph(n, [tuple(bits(f)) for f in complex.facets])
             assert len(graph.edges) == n - 1
             assert connected(graph)
+
+
+def test_simplicial_tree_skips_growths_the_checker_cannot_take(monkeypatch):
+    """With max_facet 2 a 24-vertex growth has 23 facets, more than the
+    forest checker takes, so only the private-only fallback is grown."""
+    calls = count_calls(monkeypatch, families, "_grow_by_leaf_attachment")
+    complex = random_simplicial_tree(24, random.Random(1), max_facet=2)
+    assert len(calls) == 1
+    assert len(complex.facets) == 23
 
 
 @pytest.mark.parametrize(

@@ -11,12 +11,12 @@ from monideal import (
     big_height,
     cycle_graph,
     depth,
-    depth_oracle,
     edge_ideal,
     is_sequentially_cm,
     krull_dimension,
     minimal_primes,
     path_graph,
+    pd_oracle,
     projective_dimension,
     verify_main_theorem,
 )
@@ -151,6 +151,6 @@ def test_walk_matches_skeleton_reference_and_oracle(complex):
         assert (
             depth(ideal, field)
             == reference_depth(complex, field)
-            == depth_oracle(ideal, field)
+            == ideal.n - pd_oracle(ideal, field)
         )
         assert is_sequentially_cm(ideal, field) == reference_is_scm(complex, field)

@@ -9,8 +9,8 @@ from monideal import (
     ZeroOrUnitIdealError,
     big_height,
     big_height_general,
-    depth_oracle,
     pd_general,
+    pd_oracle,
     polarize,
     projective_dimension,
 )
@@ -71,10 +71,6 @@ def test_polarize_mixed():
     pm = polarize(MonomialIdeal(2, [(2, 0), (1, 1)], labels=("x", "y")))
     assert pm.target.labels == ("x.1", "x.2", "y.1")
     assert set(pm.target.generator_monomials()) == {"x.1*x.2", "x.1*y.1"}
-    assert pm.target_index(0, 2) == 1
-    assert pm.target_index(1, 1) == 2
-    with pytest.raises(ValueError):
-        pm.target_index(1, 2)
 
 
 def test_polarize_squarefree_fixed_point():
@@ -168,4 +164,4 @@ def test_polarization_invariance_vs_oracle(seed, p):
     field = PrimeField(p)
     target = polarize(ideal).target
     pd = pd_general(ideal, field)
-    assert pd == target.n - depth_oracle(target, field)
+    assert pd == pd_oracle(target, field)
