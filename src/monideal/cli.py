@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--oracle", action="store_true",
                         help="also run the brute-force Betti oracle")
     shared.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP,
-                        help="largest n the oracle sweep accepts")
+                        help="largest n the Betti oracle accepts")
     shared.add_argument("--seed", type=int, default=0, help="generator seed")
     shared.add_argument("--vars", type=str, default=None,
                         help="comma-separated variable universe (may include unused)")

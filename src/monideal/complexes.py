@@ -256,8 +256,8 @@ class SquareFreeIdeal:
         """Complex whose faces are the subsets containing no generator.
 
         Its facets are the complements of the minimal vertex covers of the
-        generator hypergraph (complement-of-covers route; the 2^n sweep is
-        only ever used as a test oracle).
+        generator hypergraph (complement-of-covers route; only the test
+        references sweep all 2^n subsets).
         """
         full = (1 << self.n) - 1
         covers = minimal_transversals(self.gens, self.n)

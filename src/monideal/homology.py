@@ -20,7 +20,8 @@ One walk over the closed faces of a complex and their links
 skeleton criteria are its test reference.  Any other face has a cone for a
 link and adds nothing.  Each link is shrunk to its strong-collapse core
 (``_core``) before its ranks are taken, which keeps every reduced Betti
-number.
+number, and each distinct core, up to relabelling, has its ranks taken once
+per walk.
 """
 from __future__ import annotations
 
@@ -220,6 +221,17 @@ def _core(facets: list[int]) -> list[int]:
     return facets
 
 
+def _relabel(face: int, support: int) -> int:
+    """``face`` with each vertex v renamed to the number of vertices of
+    ``support`` below v: an order-keeping isomorphism onto 0..k-1."""
+    out = 0
+    while face:
+        low = face & -face
+        out |= 1 << (support & (low - 1)).bit_count()
+        face ^= low
+    return out
+
+
 def _link_walk(complex: SimplicialComplex, field: PrimeField) -> tuple[int, bool]:
     """(depth of k[Δ], whether Δ is sequentially CM), from one walk over
     the closed faces of Δ (``_closed_faces``).
@@ -236,18 +248,37 @@ def _link_walk(complex: SimplicialComplex, field: PrimeField) -> tuple[int, bool
     a closed P is the facets containing P with P removed.  Each complex is
     shrunk to its strong-collapse core (``_core``) before any ranks; a core
     with one facet is a point, or the irrelevant complex if that facet is
-    empty.  The void complex has no faces: (n, True).
+    empty.  Two memos, local to this call, take each homology once: one
+    keyed by the facets handed to ``_core``, one by the core relabelled
+    onto 0..k-1 in vertex order (``_relabel``), an isomorphism.  The void
+    complex has no faces: (n, True).
     """
     n, p = complex.n, field.p
     depth, scm = n, True
+    # lowest degree by input facets, and by core relabelled onto 0..k-1
+    by_input: dict[frozenset[int], int] = {}
+    by_core: dict[frozenset[int], int] = {}
 
     def lowest(facets: list[int]) -> int:
         # smallest j with H̃_j != 0, or n if the complex is acyclic
-        core = _core(facets)
+        key = frozenset(facets)
+        low = by_input.get(key)
+        if low is None:
+            low = by_input[key] = lowest_of_core(_core(facets))
+        return low
+
+    def lowest_of_core(core: list[int]) -> int:
         if len(core) == 1:
             return -1 if core[0] == 0 else n
-        betti = _betti_of_faces(_faces_by_dim(core), p)
-        return min((j for j, b in betti.items() if b), default=n)
+        support = reduce(or_, core)
+        key = frozenset(_relabel(f, support) for f in core)
+        low = by_core.get(key)
+        if low is None:
+            betti = _betti_of_faces(_faces_by_dim(core), p)
+            low = by_core[key] = min(
+                (j for j, b in betti.items() if b), default=n
+            )
+        return low
 
     if complex.is_void:
         return n, True

@@ -6,12 +6,14 @@ from operator import and_, or_
 import pytest
 
 from monideal import (
+    FamilySpec,
     PrimeField,
     SquareFreeIdeal,
     TooLargeError,
     cycle_graph,
     depth,
     edge_ideal,
+    generate,
     hochster_betti_table,
     path_graph,
     pd_oracle,
@@ -19,6 +21,7 @@ from monideal import (
 )
 from monideal import bitsets, homology
 from conftest import (
+    brute_sr_faces,
     count_calls,
     masks,
     random_ideal,
@@ -37,8 +40,28 @@ def seeded_ideal(seed):
     return random_ideal(rng, rng.randint(4, 8))
 
 
+def relabelled_restriction(ideal, sigma):
+    """The generators inside sigma, renamed onto 0..|sigma|-1 in order."""
+    rank = {v: i for i, v in enumerate(bitsets.members(sigma))}
+    return tuple(sorted(
+        sum(1 << rank[v] for v in bitsets.members(g))
+        for g in ideal.gens
+        if g & ~sigma == 0
+    ))
+
+
+# a star K_{1,3} and a path P_4: both have 3 edges on 4 vertices, but the
+# restriction to the star is a point and a triangle, the one to the path is
+# contractible
+STAR_AND_PATH = SquareFreeIdeal(
+    8, masks({0, 1}, {0, 2}, {0, 3}, {4, 5}, {5, 6}, {6, 7})
+)
+
 REFERENCE_CASES = {
     **{f"random{seed}": seeded_ideal(seed) for seed in range(12)},
+    **{f"cycle{k}": edge_ideal(cycle_graph(k)) for k in (7, 8, 9)},
+    "tree9": generate(FamilySpec("tree", 9, seed=1))[0],
+    "star_and_path": STAR_AND_PATH,
     "rp2": rp2_complex().stanley_reisner_ideal(),
     "degree_one_generator": SquareFreeIdeal(5, masks({0}, {1, 2}, {2, 3, 4}, {1, 4})),
     "unused_variables": SquareFreeIdeal(7, masks({0, 2}, {2, 4}, {0, 4})),
@@ -168,14 +191,37 @@ def test_restrictions_off_lattice_are_exactly_the_cones(seed, gf2, gf3):
                 assert not any(betti.values())
 
 
-def test_oracle_takes_homology_once_per_lattice_degree(monkeypatch, gf3):
-    """The oracle takes reduced homology once for each nonempty sigma on the
-    lcm lattice and nowhere else."""
+def test_oracle_takes_homology_once_per_distinct_restriction(monkeypatch, gf3):
+    """The oracle takes reduced homology once for each restriction to a
+    nonempty sigma on the lcm lattice that is distinct up to order-keeping
+    relabelling, and nowhere else: each call gets exactly the faces of Δ
+    inside one lattice sigma, and no two calls share a relabelled key."""
     ideal = edge_ideal(cycle_graph(6))
     lattice = [s for s in range(1, 1 << 6) if on_lcm_lattice(ideal, s)]
+    keys = {relabelled_restriction(ideal, s) for s in lattice}
+    faces = brute_sr_faces(ideal)
     calls = count_calls(monkeypatch, homology, "_betti_of_faces")
     hochster_betti_table(ideal, gf3)
-    assert len(calls) == len(lattice) > 0
+    assert (len(lattice), len(keys), len(calls)) == (28, 16, 16)
+    seen = set()
+    for by_dim, p in calls:
+        # C6 has no degree-one generator, so sigma is the restriction's
+        # vertex set
+        sigma = reduce(or_, by_dim[0])
+        assert sigma in lattice and p == 3
+        inside = sorted(f for f in faces if f & ~sigma == 0)
+        assert sorted(f for group in by_dim.values() for f in group) == inside
+        seen.add(relabelled_restriction(ideal, sigma))
+    assert seen == keys
+
+
+def test_memo_keeps_apart_restrictions_of_equal_shape(gf2):
+    """The star and the path restrict to complexes with the same numbers of
+    vertices and generators but different homology, and the table keeps
+    them apart (``REFERENCE_CASES`` compares the whole table)."""
+    table = hochster_betti_table(STAR_AND_PATH, gf2)
+    assert table.beta(3, 0b1111) == 1
+    assert all(table.beta(i, 0b11110000) == 0 for i in range(5))
 
 
 def test_oracle_enumerates_no_covers(monkeypatch, gf2):

@@ -113,7 +113,7 @@ class TestCorrespondences:
         c4 = SquareFreeIdeal(4, masks({0, 1}, {1, 2}, {2, 3}, {0, 3}))
         delta = c4.stanley_reisner_complex()
         assert delta.facets == tuple(masks({0, 2}, {1, 3}))
-        assert brute_sr_faces(c4) == brute_faces(delta.facets, 4)
+        assert brute_sr_faces(c4) == brute_faces(delta.facets)
 
     def test_facet_ideal_examples(self):
         c = SimplicialComplex(3, masks({0, 1}, {1, 2}))
@@ -213,13 +213,13 @@ class TestSkeletons:
         rng = random.Random(200 + seed)
         n = rng.randint(2, 7)
         delta = random_complex(rng, n)
-        all_faces = brute_faces(delta.facets, n)
+        all_faces = brute_faces(delta.facets)
         for i in range(-1, delta.dim + 1):
-            sk_faces = brute_faces(delta.skeleton(i).facets, n)
+            sk_faces = brute_faces(delta.skeleton(i).facets)
             assert sk_faces == {
                 f for f in all_faces if f.bit_count() - 1 <= i
             }
-            pure_faces = brute_faces(delta.pure_skeleton(i).facets, n)
+            pure_faces = brute_faces(delta.pure_skeleton(i).facets)
             top = {f for f in all_faces if f.bit_count() - 1 == i}
             expected = {
                 f
@@ -251,7 +251,7 @@ class TestLinkRestrict:
         n = rng.randint(1, 7)
         labels = tuple(f"v{rng.randrange(100)}_{i}" for i in range(n))
         delta = SimplicialComplex(n, random_complex(rng, n).facets, labels)
-        faces = brute_faces(delta.facets, n)
+        faces = brute_faces(delta.facets)
         for face in sorted(faces):
             link = delta.link(face)
             expected = SimplicialComplex(
@@ -281,16 +281,16 @@ class TestLinkRestrict:
         rng = random.Random(300 + seed)
         n = rng.randint(2, 7)
         delta = random_complex(rng, n)
-        faces = brute_faces(delta.facets, n)
+        faces = brute_faces(delta.facets)
         face = rng.choice(sorted(faces))
         link = delta.link(face)
         expected = {
             g for g in range(1 << n) if g & face == 0 and (g | face) in faces
         }
-        assert brute_faces(link.facets, n) == expected
+        assert brute_faces(link.facets) == expected
         w = rng.randrange(1 << n)
         restricted = delta.restrict(w)
-        assert brute_faces(restricted.facets, n) == {
+        assert brute_faces(restricted.facets) == {
             f for f in faces if subset_leq(f, w)
         }
 
@@ -301,7 +301,7 @@ def test_faces_by_dim_int_order(seed):
     n = rng.randint(1, 7)
     delta = random_complex(rng, n)
     by_dim = delta.faces_by_dim()
-    faces = brute_faces(delta.facets, n)
+    faces = brute_faces(delta.facets)
     assert list(by_dim) == sorted({f.bit_count() - 1 for f in faces})
     for d, group in by_dim.items():
         assert group == sorted(f for f in faces if f.bit_count() - 1 == d)

@@ -16,7 +16,10 @@ from monideal import (
     PrimeField,
     SimplicialComplex,
     VoidComplexError,
+    cycle_graph,
+    edge_ideal,
     is_cohen_macaulay,
+    pd_oracle,
     reduced_betti_numbers,
 )
 from monideal import homology
@@ -32,6 +35,7 @@ from monideal.homology import (
 from conftest import (
     bridged_triangles,
     brute_faces,
+    count_calls,
     masks,
     random_complex,
     random_ideal,
@@ -309,8 +313,8 @@ class TestCore:
             assert SimplicialComplex(complex.n, core).facets == tuple(
                 sorted(core, key=sort_key)
             )
-            faces = brute_faces(complex.facets, complex.n)
-            assert brute_faces(core, complex.n) == {
+            faces = brute_faces(complex.facets)
+            assert brute_faces(core) == {
                 f for f in faces if f & ~kept == 0
             }
 
@@ -375,7 +379,7 @@ class TestCohenMacaulay:
         visited = _visits(monkeypatch, [complex])
         closed = {
             face
-            for face in brute_faces(complex.facets, n)
+            for face in brute_faces(complex.facets)
             if reduce(and_, (f for f in complex.facets if face & ~f == 0))
             == face
         }
@@ -387,6 +391,28 @@ class TestCohenMacaulay:
         ideals = generate(FamilySpec("tree", 20, seed=1, count=3))
         complexes = [ideal.stanley_reisner_complex() for ideal in ideals]
         assert len(_visits(monkeypatch, complexes)) == 4271
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_walk_takes_ranks_once_per_relabelled_core(self, p, monkeypatch):
+        """The walk runs ``_core`` once per distinct facet list and takes
+        ranks once per distinct core up to order-keeping relabelling, on
+        two vertex-transitive complexes.  On the independence complex of
+        C9, 29 cores reach the rank kernel: 20 distinct, 5 up to
+        relabelling.  On RP^2, 22 cores: 22 distinct, 8 up to relabelling,
+        but only 3 distinct lists of facet sizes."""
+        field = PrimeField(p)
+        c9 = edge_ideal(cycle_graph(9))
+        rp2 = rp2_complex()
+        # cycles are sequentially CM only for 3 and 5 vertices
+        c9_expected = (9 - pd_oracle(c9, field), False)
+        rp2_expected = (reference_depth(rp2, field), reference_is_scm(rp2, field))
+        cores = count_calls(monkeypatch, homology, "_core")
+        ranks = count_calls(monkeypatch, homology, "_betti_of_faces")
+        assert _link_walk(c9.stanley_reisner_complex(), field) == c9_expected
+        assert (len(cores), len(ranks)) == (39, 5)
+        del cores[:], ranks[:]
+        assert _link_walk(rp2, field) == rp2_expected
+        assert (len(cores), len(ranks)) == (23, 8)
 
     def test_cm_implies_pure(self, gf2):
         impure = SimplicialComplex(4, masks({0, 1, 2}, {2, 3}))
